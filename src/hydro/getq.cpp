@@ -5,10 +5,15 @@
 /// pair on the edge's nodes; a van-Leer-style limiter built from the
 /// *continuation* edges (through each endpoint, into the face-neighbour
 /// cells) switches the viscosity off in smooth / uniform-strain flow.
+/// The continuation edges are topology, so the kernel does not search
+/// for them: the mesh's `cell_cont` table (built once per mesh by
+/// mesh::build_connectivity) names each one's far node as a local corner
+/// of the neighbour, and the limiter reads that node directly.
 ///
 /// This is the kernel that needs ghost data in distributed runs (the
 /// halo exchange immediately before GETQ in the paper's Algorithm 1).
 
+#include <array>
 #include <cmath>
 
 #include "hydro/kernels.hpp"
@@ -17,42 +22,12 @@ namespace bookleaf::hydro {
 
 namespace {
 
-/// Velocity difference along the continuation of edge (through `node`)
-/// inside neighbour cell `nb` (which shares face `shared_k` of cell c).
-/// Returns false if the neighbour doesn't exist.
+/// Velocity difference along a continuation edge (valid == false when the
+/// cell has no such edge: boundary face, or a ghost-layer edge cell).
 struct Continuation {
     Real du = 0.0, dv = 0.0;
     bool valid = false;
 };
-
-Continuation continuation(const mesh::Mesh& mesh, const State& s, Index cell,
-                          Index nb, Index node, bool toward_node) {
-    Continuation out;
-    if (nb == no_index) return out;
-    // Find the side of `nb` that contains `node` but is not the face
-    // shared with `cell`.
-    for (int m = 0; m < corners_per_cell; ++m) {
-        const Index a = mesh.cn(nb, m);
-        const Index b = mesh.cn(nb, (m + 1) % corners_per_cell);
-        if (a != node && b != node) continue;
-        if (mesh.neighbor(nb, m) == cell) continue; // the shared face
-        const Index other = (a == node) ? b : a;
-        const auto ni = static_cast<std::size_t>(node);
-        const auto oi = static_cast<std::size_t>(other);
-        if (toward_node) {
-            // difference from the far node *into* `node` (upstream sense)
-            out.du = s.u[ni] - s.u[oi];
-            out.dv = s.v[ni] - s.v[oi];
-        } else {
-            // difference from `node` *out* to the far node (downstream)
-            out.du = s.u[oi] - s.u[ni];
-            out.dv = s.v[oi] - s.v[ni];
-        }
-        out.valid = true;
-        return out;
-    }
-    return out;
-}
 
 /// The per-cell viscosity computation. Writes only cell c's corner forces
 /// and q scalar, so any disjoint cover of the cell range (full sweep or
@@ -63,10 +38,11 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
     const Real cq = opts.cq;
     const Real cl = opts.cl;
     const auto ci = static_cast<std::size_t>(c);
-    for (int k = 0; k < corners_per_cell; ++k) {
-        s.qfx[State::cidx(c, k)] = 0.0;
-        s.qfy[State::cidx(c, k)] = 0.0;
-    }
+    const Real rho = s.rho[ci];
+    const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
+    // Accumulated in locals and stored once: stores through State's
+    // fields would otherwise force reloads of the velocity arrays.
+    std::array<Real, 4> qfx{}, qfy{};
     Real q_max = 0.0;
 
     for (int k = 0; k < corners_per_cell; ++k) {
@@ -92,14 +68,22 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         if (du * ex + dv * ey >= 0.0) continue;
 
         // Monotonicity limiter from the continuation edges. The
-        // "previous" continuation passes through node a (inside the
-        // neighbour across face k-1), the "next" through node b
-        // (across face k+1).
-        const auto prev = continuation(
-            mesh, s, c, mesh.neighbor(c, (k + 3) % corners_per_cell), a,
-            /*toward_node=*/true);
-        const auto next = continuation(
-            mesh, s, c, mesh.neighbor(c, k1), b, /*toward_node=*/false);
+        // "previous" one passes through node a (end 1 of face k-1, inside
+        // the neighbour across it) and is differenced from its far node
+        // into a; the "next" one through node b (end 0 of face k+1) and
+        // is differenced from b out to its far node.
+        Continuation prev, next;
+        const int fp = (k + 3) % corners_per_cell;
+        if (const int m = mesh.cont(c, fp, 1); m >= 0) {
+            const auto oi =
+                static_cast<std::size_t>(mesh.cn(mesh.neighbor(c, fp), m));
+            prev = {s.u[ai] - s.u[oi], s.v[ai] - s.v[oi], true};
+        }
+        if (const int m = mesh.cont(c, k1, 0); m >= 0) {
+            const auto oi =
+                static_cast<std::size_t>(mesh.cn(mesh.neighbor(c, k1), m));
+            next = {s.u[oi] - s.u[bi], s.v[oi] - s.v[bi], true};
+        }
 
         Real psi = 0.0;
         const bool any = prev.valid || next.valid;
@@ -116,20 +100,23 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         }
 
         const Real dunorm = std::sqrt(du2);
-        const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
-        const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
-                            (cq * du2 + cl * cs * dunorm);
+        const Real q_edge =
+            (Real(1.0) - psi) * rho * (cq * du2 + cl * cs * dunorm);
 
         const Real edge_len = std::hypot(ex, ey);
         const Real mu = q_edge * edge_len / std::max(dunorm, tiny);
 
         // Equal-and-opposite dissipative pair force along du.
-        s.qfx[State::cidx(c, k)] += mu * du;
-        s.qfy[State::cidx(c, k)] += mu * dv;
-        s.qfx[State::cidx(c, k1)] -= mu * du;
-        s.qfy[State::cidx(c, k1)] -= mu * dv;
+        qfx[kk] += mu * du;
+        qfy[kk] += mu * dv;
+        qfx[kk1] -= mu * du;
+        qfy[kk1] -= mu * dv;
 
         q_max = std::max(q_max, q_edge);
+    }
+    for (int k = 0; k < corners_per_cell; ++k) {
+        s.qfx[State::cidx(c, k)] = qfx[static_cast<std::size_t>(k)];
+        s.qfy[State::cidx(c, k)] = qfy[static_cast<std::size_t>(k)];
     }
     s.q[ci] = q_max;
 }

@@ -1,6 +1,7 @@
 #include "mesh/mesh.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <unordered_map>
 
@@ -15,6 +16,29 @@ std::uint64_t edge_key(Index a, Index b) {
     const auto lo = static_cast<std::uint64_t>(std::min(a, b));
     const auto hi = static_cast<std::uint64_t>(std::max(a, b));
     return (hi << 32) | lo;
+}
+
+/// The cell_cont entries of face f of `cell`: for each end e (node
+/// (f + e) mod 4), the local corner in the face neighbour of the far node
+/// of the first side (local order) that contains the end node and is not
+/// a face the neighbour shares with `cell`. -1 when there is no neighbour
+/// or no side qualifies.
+std::array<int, 2> continuation_corners(const Mesh& mesh, Index cell, int f) {
+    std::array<int, 2> out{-1, -1};
+    const Index nb = mesh.neighbor(cell, f);
+    if (nb == no_index) return out;
+    const std::array<Index, 2> end{mesh.cn(cell, f),
+                                   mesh.cn(cell, (f + 1) % corners_per_cell)};
+    for (int m = 0; m < corners_per_cell; ++m) {
+        if (mesh.neighbor(nb, m) == cell) continue; // the shared face
+        const int m1 = (m + 1) % corners_per_cell;
+        const Index a = mesh.cn(nb, m);
+        const Index b = mesh.cn(nb, m1);
+        for (std::size_t e = 0; e < 2; ++e)
+            if (out[e] < 0 && (a == end[e] || b == end[e]))
+                out[e] = a == end[e] ? m1 : m;
+    }
+    return out;
 }
 
 } // namespace
@@ -79,6 +103,19 @@ void build_connectivity(Mesh& mesh) {
         }
     }
 
+    // Continuation table: found once per mesh, so getq's limiter reads
+    // its neighbour nodes instead of searching every edge every step.
+    mesh.cell_cont.resize(static_cast<std::size_t>(n_cells) * 2 *
+                          corners_per_cell);
+    for (Index c = 0; c < n_cells; ++c)
+        for (int f = 0; f < corners_per_cell; ++f) {
+            const auto ends = continuation_corners(mesh, c, f);
+            const auto i = static_cast<std::size_t>(c) * 2 * corners_per_cell +
+                           static_cast<std::size_t>(2 * f);
+            mesh.cell_cont[i] = static_cast<std::int8_t>(ends[0]);
+            mesh.cell_cont[i + 1] = static_cast<std::int8_t>(ends[1]);
+        }
+
     // Node -> cell and node -> (cell, corner) adjacency (arbitrary
     // valence). Pairs are emitted in ascending (cell, corner) order, which
     // from_pairs preserves within each row — the ordering contract the
@@ -128,6 +165,17 @@ std::string check_consistency(const Mesh& mesh) {
             if (!found) return "non-reciprocal neighbour link";
         }
     }
+
+    if (mesh.cell_cont.size() !=
+        static_cast<std::size_t>(n_cells) * 2 * corners_per_cell)
+        return "cell_cont size mismatch (connectivity not built?)";
+    for (Index c = 0; c < n_cells; ++c)
+        for (int f = 0; f < corners_per_cell; ++f) {
+            const auto ends = continuation_corners(mesh, c, f);
+            if (mesh.cont(c, f, 0) != ends[0] || mesh.cont(c, f, 1) != ends[1])
+                return "cell_cont entry is not the far node of the "
+                       "neighbour's continuation side";
+        }
 
     // node_corners: every (cell, corner) appears exactly once, under the
     // node the corner actually references, in ascending flat-id order.

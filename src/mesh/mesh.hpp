@@ -57,6 +57,14 @@ struct Mesh {
     /// them, making the gather-based nodal assembly bitwise identical to
     /// the serial scatter at any thread count.
     util::Csr node_corners;
+    /// Continuation table for the viscosity limiter, 8 entries per cell
+    /// at `cell * 8 + 2 * f + e`: for local face f of the cell and its end
+    /// e (0 or 1, i.e. the cell's node (f + e) mod 4), the local corner in
+    /// `neighbor(cell, f)` of the far node of the continuation edge — the
+    /// first side of the neighbour (in its local order) that contains that
+    /// node and is not the shared face. -1 when there is no neighbour or
+    /// no such side. Topology only, so it is fixed for the mesh.
+    std::vector<std::int8_t> cell_cont;
 
     [[nodiscard]] Index n_nodes() const { return static_cast<Index>(x.size()); }
     [[nodiscard]] Index n_cells() const {
@@ -82,18 +90,27 @@ struct Mesh {
                          static_cast<std::size_t>(k)];
     }
 
+    /// Local corner in neighbor(c, f) of the far node of the continuation
+    /// edge through end e of face f of cell c, or -1 (see cell_cont).
+    [[nodiscard]] int cont(Index c, int f, int e) const {
+        return cell_cont[static_cast<std::size_t>(c) * 2 * corners_per_cell +
+                         static_cast<std::size_t>(2 * f + e)];
+    }
+
     /// Number of distinct material regions (max region id + 1).
     [[nodiscard]] Index n_regions() const;
 };
 
-/// Populate `cell_neigh`, `faces`, and `node_cells` from the primary
-/// storage. Throws util::Error if a face is shared by more than two cells
-/// or a cell is degenerate.
+/// Populate `cell_neigh`, `cell_face`, `faces`, `node_cells`,
+/// `node_corners` and `cell_cont` from the primary storage. Throws
+/// util::Error if a face is shared by more than two cells or a cell is
+/// degenerate.
 void build_connectivity(Mesh& mesh);
 
 /// Sanity-check invariants (consistent sizes, valid indices, reciprocal
-/// neighbour links). Returns a human-readable description of the first
-/// violation, or an empty string when the mesh is consistent.
+/// neighbour links, continuation entries naming the far node of the
+/// neighbour's non-shared side). Returns a human-readable description of
+/// the first violation, or an empty string when the mesh is consistent.
 [[nodiscard]] std::string check_consistency(const Mesh& mesh);
 
 } // namespace bookleaf::mesh

@@ -47,6 +47,14 @@ double RankRecord::step_wall_s() const {
     return sum * 1e-6;
 }
 
+double RankRecord::busy_s() const {
+    const auto wait_s = [&](util::Kernel k) {
+        return kernels[static_cast<std::size_t>(k)].wall_s;
+    };
+    return std::max(0.0, step_wall_s() - wait_s(util::Kernel::halo_wait) -
+                             wait_s(util::Kernel::reduce_wait));
+}
+
 double RankAttribution::efficiency() const {
     const double capacity =
         static_cast<double>(worker_busy_us.size()) * makespan_us;
@@ -179,7 +187,7 @@ Imbalance imbalance_of(const std::vector<RankRecord>& ranks) {
     if (ranks.empty()) return out;
     double sum = 0.0;
     for (const auto& r : ranks) {
-        const double s = r.step_wall_s();
+        const double s = r.busy_s();
         sum += s;
         if (s > out.max_rank_s) {
             out.max_rank_s = s;
@@ -545,7 +553,7 @@ std::string summary_table(const RunReport& report) {
                     at(util::Kernel::reduce_wait));
         append_line(out,
                     "  imbalance max/mean = %.3f (slowest rank %d, "
-                    "max %.4fs, mean %.4fs)",
+                    "busy max %.4fs, mean %.4fs)",
                     report.imbalance.max_over_mean,
                     report.imbalance.slowest_rank, report.imbalance.max_rank_s,
                     report.imbalance.mean_rank_s);

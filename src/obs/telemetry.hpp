@@ -24,6 +24,7 @@
 /// chrome://tracing or https://ui.perfetto.dev; one track per rank), and
 /// a human summary in the paper's Table II layout.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <span>
@@ -130,6 +131,11 @@ struct WindowRecord {
     [[nodiscard]] double mean_step_us() const {
         return steps > 0 ? wall_us / static_cast<double>(steps) : 0.0;
     }
+    /// Window wall time not spent blocked on peers (halo and reduce
+    /// waits): the rank's own work, the load-balance cost signal.
+    [[nodiscard]] double busy_us() const {
+        return std::max(0.0, wall_us - halo_wait_us - reduce_wait_us);
+    }
     /// Swept entities per second of window wall time (0 when unmeasured).
     [[nodiscard]] double items_per_s() const {
         return wall_us > 0.0
@@ -217,11 +223,17 @@ struct RankRecord {
     /// Sum of step wall times, in seconds: the retained records plus the
     /// ring-evicted aggregate (exact however long the run).
     [[nodiscard]] double step_wall_s() const;
+    /// step_wall_s() minus the time blocked on peers (the halo_wait and
+    /// reduce_wait profiler slots, which are only charged inside steps):
+    /// the rank's own work, the load-balance cost signal.
+    [[nodiscard]] double busy_s() const;
 };
 
-/// The load-balance signal: max over ranks of total step time, divided by
-/// the mean. 1.0 = perfectly balanced; the FaultPlan slow_rank test
-/// drives it well above 1.
+/// The load-balance signal: max over ranks of busy time (step wall time
+/// minus halo and reduce waits), divided by the mean. Busy time, not wall
+/// time: ranks step in lockstep, so the waits even out their wall times
+/// and the slow rank would be the maximum only by chance. 1.0 = perfectly
+/// balanced; the FaultPlan slow_rank test drives it well above 1.
 struct Imbalance {
     double max_over_mean = 1.0;
     double mean_rank_s = 0.0;
@@ -323,7 +335,7 @@ struct RunReport {
     std::vector<RankRecord> ranks;
 };
 
-/// Compute the max/mean step-time imbalance over gathered rank records.
+/// Compute the max/mean busy-time imbalance over gathered rank records.
 [[nodiscard]] Imbalance imbalance_of(const std::vector<RankRecord>& ranks);
 
 /// Scan the gathered rank records for kernels deviating from expectation

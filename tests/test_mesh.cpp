@@ -7,9 +7,14 @@
 
 #include "mesh/generator.hpp"
 #include "mesh/mesh.hpp"
+#include "part/partition.hpp"
+#include "part/subdomain.hpp"
+#include "setup/problems.hpp"
 #include "util/random.hpp"
 
 namespace bm = bookleaf::mesh;
+namespace bp = bookleaf::part;
+namespace bs = bookleaf::setup;
 namespace bu = bookleaf::util;
 using bookleaf::Index;
 using bookleaf::Real;
@@ -181,6 +186,138 @@ TEST(MeshConsistency, DetectsCorruptNeighbor) {
     auto m = bm::generate_rect({.nx = 3, .ny = 2});
     m.cell_neigh[0] = 99; // out of range
     EXPECT_NE(check_consistency(m), "");
+}
+
+// ---------------------------------------------------------------------------
+// Continuation table (cell_cont)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Brute-force continuation search, independent of the table: in
+/// neighbour `nb`, the first side (local order) containing `node` that is
+/// not the face shared with `cell`; returns the local corner of that
+/// side's other node, or -1.
+int searched_continuation(const bm::Mesh& m, Index cell, Index nb,
+                          Index node) {
+    if (nb == bookleaf::no_index) return -1;
+    for (int side = 0; side < 4; ++side) {
+        const Index a = m.cn(nb, side);
+        const Index b = m.cn(nb, (side + 1) % 4);
+        if (a != node && b != node) continue;
+        if (m.neighbor(nb, side) == cell) continue;
+        return a == node ? (side + 1) % 4 : side;
+    }
+    return -1;
+}
+
+/// Compare every cell_cont entry with the search; returns the number of
+/// entries that differ and how many entries were valid continuations.
+std::pair<long, long> table_vs_search(const bm::Mesh& m) {
+    long wrong = 0, valid = 0;
+    EXPECT_EQ(m.cell_cont.size(), static_cast<std::size_t>(m.n_cells()) * 8);
+    for (Index c = 0; c < m.n_cells(); ++c)
+        for (int f = 0; f < 4; ++f)
+            for (int e = 0; e < 2; ++e) {
+                const int want = searched_continuation(
+                    m, c, m.neighbor(c, f), m.cn(c, (f + e) % 4));
+                if (m.cont(c, f, e) != want) ++wrong;
+                if (want >= 0) ++valid;
+            }
+    return {wrong, valid};
+}
+
+} // namespace
+
+TEST(MeshContinuation, GeneratorMeshMatchesSearch) {
+    const auto p = bs::noh(48);
+    const auto [wrong, valid] = table_vs_search(p.mesh);
+    EXPECT_EQ(wrong, 0);
+    // Every face end has a continuation except where the face itself is
+    // missing (boundary) — 8 per cell minus 2 per boundary face.
+    EXPECT_EQ(valid, 8L * 48 * 48 - 2L * 4 * 48);
+    EXPECT_EQ(check_consistency(p.mesh), "");
+}
+
+TEST(MeshContinuation, PermutedMeshesMatchSearch) {
+    const auto base = bm::generate_rect({.nx = 23, .ny = 17});
+    for (const std::uint64_t seed : {7u, 1234u, 99991u}) {
+        bu::SplitMix64 rng(seed);
+        const auto m = bm::permute(base, rng);
+        const auto [wrong, valid] = table_vs_search(m);
+        EXPECT_EQ(wrong, 0) << "seed " << seed;
+        EXPECT_EQ(valid, 8L * 23 * 17 - 2L * 2 * (23 + 17)) << "seed " << seed;
+        EXPECT_EQ(check_consistency(m), "") << "seed " << seed;
+    }
+}
+
+TEST(MeshContinuation, SubdomainMeshesMatchSearchIncludingGhosts) {
+    // Local meshes end at the ghost layer, so ghost cells on its outer
+    // edge lose neighbours (and continuations) the global mesh has; the
+    // table must follow the local topology exactly as the search does.
+    const auto m = bm::generate_rect({.nx = 30, .ny = 26});
+    const int n_ranks = 4;
+    const auto subs = bp::decompose(m, bp::rcb(m, n_ranks), n_ranks);
+    ASSERT_EQ(subs.size(), 4u);
+    for (const auto& sub : subs) {
+        const auto& lm = sub.local;
+        ASSERT_GT(lm.n_cells(), sub.n_owned_cells) << "rank " << sub.rank;
+        const auto [wrong, valid] = table_vs_search(lm);
+        EXPECT_EQ(wrong, 0) << "rank " << sub.rank;
+        EXPECT_GT(valid, 0) << "rank " << sub.rank;
+        long ghost_invalid = 0;
+        for (Index c = sub.n_owned_cells; c < lm.n_cells(); ++c)
+            for (int k = 0; k < 8; ++k)
+                if (lm.cell_cont[static_cast<std::size_t>(c) * 8 +
+                                 static_cast<std::size_t>(k)] < 0)
+                    ++ghost_invalid;
+        EXPECT_GT(ghost_invalid, 0) << "ghost edge cells lose continuations";
+        EXPECT_EQ(check_consistency(lm), "") << "rank " << sub.rank;
+    }
+}
+
+TEST(MeshConsistency, DetectsCorruptContinuationTable) {
+    const auto good = bm::generate_rect({.nx = 4, .ny = 3});
+    ASSERT_EQ(check_consistency(good), "");
+    {
+        auto m = good;
+        m.cell_cont.pop_back();
+        EXPECT_NE(check_consistency(m), "") << "wrong size";
+    }
+    // Interior cell 5 (i=1, j=1), face 1 (nodes 1-2, right neighbour):
+    // the end-0 continuation runs along the neighbour's bottom side.
+    const Index c = 5;
+    const int f = 1;
+    const Index nb = good.neighbor(c, f);
+    ASSERT_NE(nb, bookleaf::no_index);
+    const int ok = good.cont(c, f, 0);
+    ASSERT_GE(ok, 0);
+    const Index node = good.cn(c, f);
+    for (int corner = 0; corner < 4; ++corner) {
+        if (corner == ok) continue;
+        // The node itself, the far node of the shared face, or the
+        // opposite corner: none is the far end of a non-shared side.
+        auto m = good;
+        m.cell_cont[static_cast<std::size_t>(c) * 8 +
+                    static_cast<std::size_t>(2 * f)] =
+            static_cast<std::int8_t>(corner);
+        EXPECT_NE(check_consistency(m), "")
+            << "corner " << corner << " (node " << good.cn(nb, corner)
+            << ", continuation node " << node << ")";
+    }
+    {
+        auto m = good;
+        m.cell_cont[static_cast<std::size_t>(c) * 8 +
+                    static_cast<std::size_t>(2 * f)] = -1;
+        EXPECT_NE(check_consistency(m), "") << "dropped continuation";
+    }
+    {
+        // A boundary face has no continuation to name.
+        auto m = good;
+        ASSERT_EQ(m.neighbor(0, 0), bookleaf::no_index);
+        m.cell_cont[0] = 1;
+        EXPECT_NE(check_consistency(m), "") << "continuation off the boundary";
+    }
 }
 
 class MeshPermuteProperty : public ::testing::TestWithParam<std::uint64_t> {};

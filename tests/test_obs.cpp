@@ -410,6 +410,31 @@ TEST(ObsDist, ImbalanceFlagsTheSlowedRank) {
     EXPECT_FALSE(r.telemetry.wire.checked);
 }
 
+TEST(ObsDist, SlowedRankSleepIsBusyTimeNotWait) {
+    // The slow_rank fault sleeps in the slowed rank's Hub::send, which
+    // the step reaches from halo packing, never from inside a timed halo
+    // or reduce wait. So the sleeps count as that rank's busy time (step
+    // wall minus waits): at least the sleeps of its in-step sends, which
+    // are nearly all of its sends (the rest are end-of-run gathers).
+    const auto p = sod_like(40, 2);
+    auto opts = base_opts(4, 0.02);
+    opts.telemetry.enabled = true;
+    const int sleep_us = 300;
+    opts.faults.slows.push_back({.rank = 1, .microseconds = sleep_us});
+    const auto r = run_dist(p, opts);
+    const auto& ranks = r.telemetry.ranks;
+    ASSERT_EQ(ranks.size(), 4u);
+    const auto& slow = ranks[1];
+    ASSERT_EQ(slow.rank, 1);
+    long sent = 0;
+    for (const auto& peer : slow.sent) sent += peer.messages;
+    ASSERT_GT(sent, 4 * r.steps) << "halo traffic every step";
+    EXPECT_GE(slow.busy_s(), 0.5 * static_cast<double>(sent) * sleep_us * 1e-6);
+    EXPECT_LE(slow.busy_s(), slow.step_wall_s());
+    for (const auto& other : ranks)
+        if (other.rank != 1) EXPECT_GT(slow.busy_s(), other.busy_s());
+}
+
 TEST(ObsDist, TraceFileIsWellFormedChromeJson) {
     const auto path = ::testing::TempDir() + "obs_trace_test.json";
     const auto p = sod_like(32, 2);
