@@ -1,21 +1,16 @@
 /// \file bench_ablation_overlap.cpp
-/// Ablations for the distributed driver's communication machinery:
+/// Ablation for the distributed driver's halo/compute *overlap*: the same
+/// Sod and Noh rigs run through the blocking two-exchange schedule (the
+/// paper's) and the nonblocking request-based schedule that hides both
+/// halos (and the dt reduce) behind interior kernels. Reports wall time,
+/// the per-rank time charged to the halo kernel (the overlapped
+/// schedule's halo bucket only pays packing/posting plus whatever wait
+/// the interior work could not hide), and the per-step message count and
+/// mean bytes per message, checked against the schedule metadata
+/// (part::Subdomain::messages_per_step: one coalesced message per peer
+/// per exchange).
 ///
-/// 1. halo/compute *overlap* — the same Sod and Noh rigs run through the
-///    blocking two-exchange schedule (the paper's) and the nonblocking
-///    request-based schedule that hides both halos (and the dt reduce)
-///    behind interior kernels. Reports wall time and the per-rank time
-///    charged to the halo kernel (the overlapped schedule's halo bucket
-///    only pays packing/posting plus whatever wait the interior work
-///    could not hide).
-/// 2. message *coalescing* — one buffer per peer per exchange (fields
-///    back-to-back) versus the one-message-per-field baseline. Reports
-///    the measured per-step message count and mean bytes per message, and
-///    checks the count against the schedule metadata
-///    (part::Subdomain::messages_per_step): n_peers per exchange when
-///    coalesced, n_fields x n_peers per field-split exchange otherwise.
-///
-/// Every combination is verified against the bitwise-identity contract.
+/// Both schedules are verified against the bitwise-identity contract.
 
 #include <cmath>
 #include <cstdio>
@@ -36,15 +31,14 @@ struct RigResult {
     dist::Result fields;
 };
 
-RigResult run_rig(const setup::Problem& p, int ranks, Real t_end, bool overlap,
-                  typhon::Packing packing) {
+RigResult run_rig(const setup::Problem& p, int ranks, Real t_end,
+                  bool overlap) {
     dist::Options opts;
     opts.n_ranks = ranks;
     opts.t_end = t_end;
     opts.hydro = p.hydro;
     opts.ale = p.ale;
     opts.overlap = overlap;
-    opts.packing = packing;
     RigResult out;
     const util::Timer timer;
     out.fields = dist::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
@@ -57,27 +51,22 @@ RigResult run_rig(const setup::Problem& p, int ranks, Real t_end, bool overlap,
 }
 
 /// Expected per-step message count from the schedule metadata.
-long expected_messages_per_step(const setup::Problem& p, int ranks,
-                                typhon::Packing packing) {
+long expected_messages_per_step(const setup::Problem& p, int ranks) {
     const auto part = part::rcb(p.mesh, ranks);
     const auto subs = part::decompose(p.mesh, part, ranks);
     long n = 0;
-    for (const auto& sub : subs) n += sub.messages_per_step(packing);
+    for (const auto& sub : subs) n += sub.messages_per_step();
     return n;
 }
 
 void rig(const char* name, const setup::Problem& p, Real t_end) {
     constexpr int ranks = 4;
     std::printf("%s, %d ranks:\n", name, ranks);
-    std::printf("  %-32s %9s %12s %10s %11s\n", "schedule", "wall(s)",
+    std::printf("  %-20s %9s %12s %10s %11s\n", "schedule", "wall(s)",
                 "max halo(s)", "msgs/step", "bytes/msg");
 
-    const auto coalesced = typhon::Packing::coalesced;
-    const auto per_field = typhon::Packing::per_field;
-    const auto blocking = run_rig(p, ranks, t_end, false, coalesced);
-    const auto blocking_pf = run_rig(p, ranks, t_end, false, per_field);
-    const auto overlap = run_rig(p, ranks, t_end, true, coalesced);
-    const auto overlap_pf = run_rig(p, ranks, t_end, true, per_field);
+    const auto blocking = run_rig(p, ranks, t_end, false);
+    const auto overlap = run_rig(p, ranks, t_end, true);
 
     const auto row = [](const char* label, const RigResult& r) {
         const auto& traffic = r.fields.traffic;
@@ -90,35 +79,25 @@ void rig(const char* name, const setup::Problem& p, Real t_end) {
                 ? static_cast<double>(traffic.reals) * sizeof(Real) /
                       static_cast<double>(traffic.messages)
                 : 0.0;
-        std::printf("  %-32s %9.3f %12.4f %10.1f %11.1f\n", label, r.wall,
+        std::printf("  %-20s %9.3f %12.4f %10.1f %11.1f\n", label, r.wall,
                     r.halo_max, per_step, bytes_per_msg);
     };
-    row("blocking + per-field (paper)", blocking_pf);
-    row("blocking + coalesced", blocking);
-    row("overlap  + per-field", overlap_pf);
-    row("overlap  + coalesced (default)", overlap);
+    row("blocking (paper)", blocking);
+    row("overlap (default)", overlap);
 
-    const bool bitwise =
-        dist::bitwise_equal(blocking.fields, overlap.fields) &&
-        dist::bitwise_equal(blocking.fields, blocking_pf.fields) &&
-        dist::bitwise_equal(blocking.fields, overlap_pf.fields);
-    const long want_coalesced = expected_messages_per_step(p, ranks, coalesced);
-    const long want_per_field = expected_messages_per_step(p, ranks, per_field);
+    const bool bitwise = dist::bitwise_equal(blocking.fields, overlap.fields);
+    const long want = expected_messages_per_step(p, ranks);
     const bool counts_ok =
+        blocking.fields.traffic.messages ==
+            static_cast<long>(blocking.fields.steps) * want &&
         overlap.fields.traffic.messages ==
-            static_cast<long>(overlap.fields.steps) * want_coalesced &&
-        overlap_pf.fields.traffic.messages ==
-            static_cast<long>(overlap_pf.fields.steps) * want_per_field;
-    std::printf("  overlap speedup %.2fx, halo bucket %.2fx smaller; "
-                "coalescing: %.2fx fewer messages\n",
-                blocking_pf.wall / overlap.wall,
-                blocking_pf.halo_max / std::max(overlap.halo_max, 1e-12),
-                static_cast<double>(overlap_pf.fields.traffic.messages) /
-                    std::max<long>(overlap.fields.traffic.messages, 1));
-    std::printf("  message count vs schedule metadata (%ld vs %ld per step): "
+            static_cast<long>(overlap.fields.steps) * want;
+    std::printf("  overlap speedup %.2fx, halo bucket %.2fx smaller\n",
+                blocking.wall / overlap.wall,
+                blocking.halo_max / std::max(overlap.halo_max, 1e-12));
+    std::printf("  message count vs schedule metadata (%ld per step): "
                 "%s; results %s\n\n",
-                want_coalesced, want_per_field,
-                counts_ok ? "exact" : "MISMATCH (wire format drifted!)",
+                want, counts_ok ? "exact" : "MISMATCH (wire format drifted!)",
                 bitwise ? "bitwise identical"
                         : "MISMATCH (contract violated!)");
 }
@@ -126,15 +105,13 @@ void rig(const char* name, const setup::Problem& p, Real t_end) {
 } // namespace
 
 int main() {
-    std::printf("=== Ablation: halo/compute overlap + message coalescing in "
-                "the distributed driver ===\n\n");
+    std::printf("=== Ablation: halo/compute overlap in the distributed "
+                "driver ===\n\n");
     std::printf(
-        "All four schedule x packing combinations move the same ghost\n"
-        "bytes. Overlap posts each exchange (and the dt min-reduce)\n"
-        "through typhon's request layer and runs interior cells while\n"
-        "the messages fly; coalescing packs every field of an exchange\n"
-        "into one buffer per peer, cutting the per-step message count\n"
-        "from n_fields x n_peers to n_peers.\n\n");
+        "Both schedules move the same ghost bytes, one coalesced message\n"
+        "per peer per exchange. Overlap posts each exchange (and the dt\n"
+        "min-reduce) through typhon's request layer and runs interior\n"
+        "cells while the messages fly.\n\n");
     rig("Sod 200x4", setup::sod(200, 4), 0.2);
     rig("Noh 64x64", setup::noh(64), 0.3);
     return 0;

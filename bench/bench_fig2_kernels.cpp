@@ -5,10 +5,11 @@
 ///
 ///   ./bench_fig2_kernels [--json BENCH_fig2.json]
 ///
-/// With --json, the model values and the measured acceleration-assembly
-/// times are also written as a "bookleaf.bench/1" document so CI can
-/// persist the perf trajectory (scripts/compare_bench.py diffs two such
-/// files and flags regressions on the *_s keys).
+/// With --json, the model values, the measured acceleration-assembly
+/// time and the per-kernel counters are also written as a
+/// "bookleaf.bench/1" document so CI can persist the perf trajectory
+/// (scripts/compare_bench.py diffs two such files and flags regressions
+/// on the *_s keys).
 
 #include <algorithm>
 #include <cstdio>
@@ -66,31 +67,15 @@ int main(int argc, char** argv) {
                 skl_h.at(Kernel::getq) / skl.at(Kernel::getq),
                 skl_h.at(Kernel::getacc) / skl.at(Kernel::getacc));
 
-    // --- measured counterpart on this host: the acceleration kernel under
-    // the three assembly strategies (Fig. 2b's data dependency, and the
-    // gather that removes it). Noh 64x64, 30 steps per variant.
+    // --- measured counterpart on this host: one instrumented Noh 64x64
+    // run (30 steps, 2 threads) with the race-free gather assembly that
+    // removes Fig. 2b's data dependency. Its per-kernel {wall_s, calls,
+    // items} counters become the document's "measured_kernels" — the
+    // shape perfmodel::calibrate_from_document consumes, closing the
+    // calibration loop CI gates on (scripts/check_perfmodel.py).
     namespace bl = bookleaf;
     std::printf("\n=== Measured acceleration assembly on this host "
                 "(Noh 64x64, 30 steps, 2 threads) ===\n");
-    auto measure = [](bl::par::Assembly assembly) {
-        bl::core::Hydro h(bl::setup::noh(64));
-        bl::par::ThreadPool pool(2);
-        bl::par::Exec exec;
-        exec.pool = &pool;
-        h.set_exec(exec);
-        h.set_assembly(assembly);
-        h.run(std::nullopt, 30);
-        return h.profiler().stats(Kernel::getacc).wall_s;
-    };
-    const double t_serial = measure(bl::par::Assembly::serial_scatter);
-    const double t_colored = measure(bl::par::Assembly::colored_scatter);
-    const double t_gather = measure(bl::par::Assembly::gather);
-
-    // One more instrumented run keeping the FULL kernel breakdown: its
-    // per-kernel {wall_s, calls, items} counters become the document's
-    // "measured_kernels" — the shape perfmodel::calibrate_from_document
-    // consumes, closing the calibration loop CI gates on
-    // (scripts/check_perfmodel.py).
     bl::core::Hydro instrumented(bl::setup::noh(64));
     {
         bl::par::ThreadPool pool(2);
@@ -99,11 +84,9 @@ int main(int argc, char** argv) {
         instrumented.set_exec(exec);
         instrumented.run(std::nullopt, 30);
     }
-    std::printf("%-28s %10.4f s\n", "serial scatter (paper)", t_serial);
-    std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "colored scatter",
-                t_colored, t_serial / std::max(t_colored, 1e-12));
-    std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "gather (default)",
-                t_gather, t_serial / std::max(t_gather, 1e-12));
+    const double t_gather =
+        instrumented.profiler().stats(Kernel::getacc).wall_s;
+    std::printf("%-28s %10.4f s\n", "gather", t_gather);
 
     if (cli.has("json")) {
         namespace obs = bl::obs;
@@ -130,13 +113,7 @@ int main(int argc, char** argv) {
         }
         auto& measured = doc["measured"];
         measured = obs::Json::object();
-        measured["getacc_serial_scatter_s"] = obs::Json(t_serial);
-        measured["getacc_colored_scatter_s"] = obs::Json(t_colored);
         measured["getacc_gather_s"] = obs::Json(t_gather);
-        measured["speedup_colored"] =
-            obs::Json(t_serial / std::max(t_colored, 1e-12));
-        measured["speedup_gather"] =
-            obs::Json(t_serial / std::max(t_gather, 1e-12));
 
         // Full per-kernel counters of the instrumented run, in the shape
         // calibrate_from_document reads (items = cells swept summed over

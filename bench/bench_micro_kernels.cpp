@@ -9,7 +9,6 @@
 #include "ale/remap.hpp"
 #include "hydro/kernels.hpp"
 #include "mesh/generator.hpp"
-#include "par/coloring.hpp"
 #include "setup/problems.hpp"
 #include "util/csr.hpp"
 
@@ -75,28 +74,18 @@ KERNEL_BENCH(getdt, benchmark::DoNotOptimize(
 KERNEL_BENCH(lagstep, hydro::lagstep(rig.ctx, rig.state, 1e-5));
 
 // ---------------------------------------------------------------------------
-// Acceleration nodal-assembly strategies (the §IV-B data dependency):
-// serial scatter (paper-faithful) vs conflict-coloured scatter vs the
-// default gather, at 1 and 2 threads on the Noh rig. This is the
-// tentpole comparison BENCH_*.json tracks.
+// Acceleration nodal assembly (the §IV-B data dependency): the race-free
+// gather at 1 and 2 threads on the Noh rig.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-void assembly_bench(benchmark::State& bench_state, par::Assembly mode,
-                    int threads) {
+void assembly_bench(benchmark::State& bench_state, int threads) {
     Rig rig(static_cast<Index>(bench_state.range(0)));
     par::ThreadPool pool(threads);
     par::Exec exec;
     if (threads > 1) exec.pool = &pool;
-    exec.assembly = mode;
     rig.ctx.exec = exec;
-
-    par::Coloring coloring;
-    if (mode == par::Assembly::colored_scatter) {
-        coloring = par::build_scatter_coloring(rig.problem.mesh);
-        rig.ctx.scatter_coloring = &coloring;
-    }
 
     for (auto _ : bench_state) {
         hydro::getacc(rig.ctx, rig.state, 1e-4);
@@ -110,17 +99,14 @@ void assembly_bench(benchmark::State& bench_state, par::Assembly mode,
 
 } // namespace
 
-#define ASSEMBLY_BENCH(name, mode, threads)                                    \
+#define ASSEMBLY_BENCH(name, threads)                                          \
     static void BM_getacc_##name(benchmark::State& s) {                        \
-        assembly_bench(s, mode, threads);                                      \
+        assembly_bench(s, threads);                                            \
     }                                                                          \
     BENCHMARK(BM_getacc_##name)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond)
 
-ASSEMBLY_BENCH(scatter_serial_t1, par::Assembly::serial_scatter, 1);
-ASSEMBLY_BENCH(scatter_serial_t2, par::Assembly::serial_scatter, 2);
-ASSEMBLY_BENCH(scatter_colored_t2, par::Assembly::colored_scatter, 2);
-ASSEMBLY_BENCH(gather_t1, par::Assembly::gather, 1);
-ASSEMBLY_BENCH(gather_t2, par::Assembly::gather, 2);
+ASSEMBLY_BENCH(gather_t1, 1);
+ASSEMBLY_BENCH(gather_t2, 2);
 
 static void BM_alestep_eulerian(benchmark::State& s) {
     Rig rig(static_cast<Index>(s.range(0)));

@@ -4,7 +4,6 @@
 /// Algorithm 1, prints the step banner and the final per-kernel summary.
 ///
 ///   ./bookleaf_main data/sod.in [--threads N] [--grain N] [--max_steps N]
-///                   [--assembly gather|serial|colored]
 ///                   [--banner-every N] [--vtk out.vtk]
 ///                   [--restart snapshot.ckpt]
 ///                   [--telemetry-report run.json] [--telemetry-trace t.json]
@@ -76,16 +75,6 @@ int main(int argc, char** argv) {
             exec.grain = static_cast<Index>(cli.get_int("grain", 0));
             hydro.set_exec(exec);
         }
-        // Nodal-assembly strategy: default is the race-free gather; the
-        // paper's §IV-B behaviours stay available for ablations.
-        const auto assembly = cli.get("assembly", "gather");
-        if (assembly == "serial")
-            hydro.set_assembly(par::Assembly::serial_scatter);
-        else if (assembly == "colored")
-            hydro.set_assembly(par::Assembly::colored_scatter);
-        else if (assembly != "gather")
-            throw util::Error("unknown --assembly '" + assembly +
-                              "' (expected gather|serial|colored)");
 
         const int max_steps = cli.get_int("max_steps", 1 << 30);
         const int banner_every = cli.get_int("banner-every", 100);

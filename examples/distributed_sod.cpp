@@ -9,7 +9,7 @@
 /// be bitwise identical.
 ///
 ///   ./distributed_sod [--ranks 4] [--nx 100] [--partitioner rcb|multilevel]
-///                     [--overlap on|off] [--packing coalesced|perfield]
+///                     [--overlap on|off]
 ///                     [--threads 1] [--schedule taskgraph|forkjoin]
 ///                     [--mode lagrange|eulerian|ale] [--dump fields.csv]
 ///                     [--tol 1e-8]
@@ -26,8 +26,8 @@
 ///
 /// Exits nonzero if the distributed result drifts from the serial
 /// reference by more than --tol, or if the other schedule (overlap vs
-/// blocking) or the other halo wire format (coalesced vs per-field)
-/// disagrees bitwise — which makes it a self-checking smoke test for CI.
+/// blocking) disagrees bitwise — which makes it a self-checking smoke
+/// test for CI.
 /// With --mode eulerian the run exercises the distributed remap (the
 /// sod_eulerian.in configuration) and additionally cross-checks the
 /// gathered fields bitwise against a serial core::Hydro run.
@@ -35,7 +35,7 @@
 /// Checkpoint/restart smoke: --save-at T writes a checkpoint at the first
 /// natural step past T (--halt-after-save stops the run there);
 /// --restart continues a saved snapshot at the requested rank count —
-/// every self-check (overlap/packing ablations, serial reference) then
+/// every self-check (overlap ablation, serial reference) then
 /// restarts from the same snapshot, so the bitwise gates also hold the
 /// rank-elastic restart contract.
 ///
@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const auto partitioner = cli.get("partitioner", "rcb");
     const auto overlap_arg = cli.get("overlap", "on");
-    const auto packing_arg = cli.get("packing", "coalesced");
     const auto mode_arg = cli.get("mode", "lagrange");
     const int threads = cli.get_int("threads", 1);
     const auto schedule_arg = cli.get("schedule", "taskgraph");
@@ -101,8 +100,6 @@ int main(int argc, char** argv) {
     opts.hydro = problem.hydro;
     opts.ale = problem.ale;
     opts.overlap = overlap_arg != "off";
-    opts.packing = packing_arg == "perfield" ? typhon::Packing::per_field
-                                             : typhon::Packing::coalesced;
     opts.n_threads = threads;
     opts.schedule = schedule_arg == "forkjoin" ? par::Schedule::forkjoin
                                                : par::Schedule::taskgraph;
@@ -178,10 +175,10 @@ int main(int argc, char** argv) {
                                        : part::rcb(problem.mesh, ranks);
     const auto quality = part::quality(problem.mesh, part, ranks);
     std::printf("Sod %dx4 (%s) on %d ranks x %d threads (%s, overlap %s, "
-                "packing %s, schedule %s): edge cut %d, imbalance %.3f\n",
+                "schedule %s): edge cut %d, imbalance %.3f\n",
                 nx, mode_arg.c_str(), ranks, threads, partitioner.c_str(),
-                opts.overlap ? "on" : "off", packing_arg.c_str(),
-                schedule_arg.c_str(), quality.edge_cut, quality.imbalance);
+                opts.overlap ? "on" : "off", schedule_arg.c_str(),
+                quality.edge_cut, quality.imbalance);
 
     const auto distributed = run_dist(opts);
     for (const auto& rec : distributed.recoveries)
@@ -202,29 +199,16 @@ int main(int argc, char** argv) {
                     last.imbalance.slowest_rank);
     }
 
-    // Ablation cross-checks: the other schedule and the other halo wire
-    // format must both agree bitwise (same ghost bytes, only the kernel
-    // order / message shapes change).
+    // Ablation cross-check: the other schedule must agree bitwise (same
+    // ghost bytes, only the kernel order changes).
     dist::Options other = opts;
     other.overlap = !opts.overlap;
     other.telemetry = {};
     const auto cross = run_dist(other);
     const bool bitwise = dist::bitwise_equal(distributed, cross);
-    std::printf("overlap vs blocking: %s\n",
-                bitwise ? "bitwise identical" : "MISMATCH");
-
-    dist::Options repacked = opts;
-    repacked.packing = opts.packing == typhon::Packing::coalesced
-                           ? typhon::Packing::per_field
-                           : typhon::Packing::coalesced;
-    repacked.telemetry = {};
-    const auto cross_packing = run_dist(repacked);
-    const bool bitwise_packing =
-        dist::bitwise_equal(distributed, cross_packing);
-    std::printf("coalesced vs per-field: %s (%ld vs %ld messages)\n",
-                bitwise_packing ? "bitwise identical" : "MISMATCH",
-                distributed.traffic.messages,
-                cross_packing.traffic.messages);
+    std::printf("overlap vs blocking: %s (%ld messages)\n",
+                bitwise ? "bitwise identical" : "MISMATCH",
+                distributed.traffic.messages);
 
     // Hybrid runs: the other intra-rank schedule must agree bitwise too
     // (task-graph vs fork-join only reorders per-item-independent work).
@@ -327,11 +311,6 @@ int main(int argc, char** argv) {
 
     if (!bitwise) {
         std::fprintf(stderr, "FAIL: overlap and blocking schedules disagree\n");
-        return 1;
-    }
-    if (!bitwise_packing) {
-        std::fprintf(stderr,
-                     "FAIL: coalesced and per-field packings disagree\n");
         return 1;
     }
     if (!bitwise_schedule) {

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     if (threads > 1) {
         par::Exec exec;
         exec.pool = &pool;
-        hydro.set_exec(exec); // gather assembly (the default) is race-free
+        hydro.set_exec(exec); // the gather assembly is race-free
     }
 
     const auto summary = hydro.run();

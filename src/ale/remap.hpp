@@ -49,6 +49,15 @@ struct Options {
     bool limit = true;          ///< van Leer limiting (ablation switch)
 };
 
+/// Remap cadence: whether the Lagrangian step with 0-based index `step`
+/// is followed by a remap. Eulerian remaps every step, ALE every
+/// `frequency` steps (counted 1-based), Lagrange never. The single
+/// definition both drivers use, so their cadence cannot drift.
+[[nodiscard]] inline bool remap_due(const Options& opts, int step) {
+    return opts.mode == Mode::eulerian ||
+           (opts.mode == Mode::ale && (step + 1) % opts.frequency == 0);
+}
+
 /// Scratch arrays reused across remaps (sized on first use). One
 /// workspace serves one mesh: the cached node adjacency is keyed only on
 /// the node count.

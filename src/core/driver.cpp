@@ -195,29 +195,12 @@ void Hydro::maybe_checkpoint(Real t_before) {
     if (cfg.halt_after) halt_requested_ = true;
 }
 
-void Hydro::set_assembly(par::Assembly assembly) {
-    if (assembly == par::Assembly::colored_scatter &&
-        ctx_.scatter_coloring == nullptr) {
-        coloring_ = par::build_scatter_coloring(problem_.mesh);
-        ctx_.scatter_coloring = &coloring_;
-    }
-    ctx_.exec.assembly = assembly;
-    chosen_assembly_ = assembly;
-    assembly_chosen_ = true;
-    // The step graph's acceleration tasks encode the gather assembly;
-    // rebuild (or drop) the graph under the new strategy.
-    stepgraph_.reset();
-    ctx_.stepgraph = nullptr;
-}
-
 /// Build (or tear down) the Lagrangian-step task graph to match the
-/// current execution policy. The graph applies when a pool is attached,
-/// the schedule is taskgraph and the assembly is the default gather (the
-/// scatter ablations deliberately keep the reference fork-join shape).
+/// current execution policy. The graph applies when a pool is attached
+/// and the schedule is taskgraph.
 void Hydro::ensure_stepgraph() {
     const bool want = ctx_.exec.threaded() &&
-                      ctx_.exec.schedule == par::Schedule::taskgraph &&
-                      ctx_.exec.assembly == par::Assembly::gather;
+                      ctx_.exec.schedule == par::Schedule::taskgraph;
     if (!want) {
         stepgraph_.reset();
         ctx_.stepgraph = nullptr;
@@ -245,18 +228,10 @@ StepInfo Hydro::step_clamped(std::optional<Real> t_end) {
         info.dt_reason = dt_result.reason;
         // Re-growth ceiling after a health-guard backoff: binds the
         // controller until its own value ducks back under, then clears.
-        // (The distributed driver replicates this sequence exactly; the
-        // cap commutes with the min-reduction because every rank holds
-        // the same limit.)
-        if (regrow_limit_ > 0.0) {
-            if (dt_ > regrow_limit_) {
-                dt_ = regrow_limit_;
-                info.dt_cell = no_index;
-                info.dt_reason = "regrow";
-                regrow_limit_ *= guard.regrow_cap;
-            } else {
-                regrow_limit_ = 0.0;
-            }
+        if (hydro::apply_regrow_ceiling(dt_, regrow_limit_,
+                                        guard.regrow_cap)) {
+            info.dt_cell = no_index;
+            info.dt_reason = "regrow";
         }
     } else {
         info.dt_reason = "initial";
@@ -300,13 +275,9 @@ StepInfo Hydro::step_clamped(std::optional<Real> t_end) {
         }
     }
 
-    if (problem_.ale.mode != ale::Mode::lagrange) {
-        const bool due = problem_.ale.mode == ale::Mode::eulerian ||
-                         (steps_ + 1) % problem_.ale.frequency == 0;
-        if (due) {
-            ale::alestep(ctx_, state_, problem_.ale, ale_work_);
-            info.remapped = true;
-        }
+    if (ale::remap_due(problem_.ale, steps_)) {
+        ale::alestep(ctx_, state_, problem_.ale, ale_work_);
+        info.remapped = true;
     }
 
     const Real t_before = t_;

@@ -56,23 +56,13 @@ public:
     /// uninterrupted run's history).
     Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot);
 
-    /// Optional execution policy (threading) — set before stepping. An
-    /// assembly strategy chosen via set_assembly() survives this call
-    /// (set_exec configures the pool, not the assembly ablation). Any
+    /// Optional execution policy (threading) — set before stepping. Any
     /// previously built step graph is invalidated; the next step rebuilds
     /// it if the new policy wants one.
     void set_exec(par::Exec exec) {
         ctx_.exec = exec;
-        if (assembly_chosen_) ctx_.exec.assembly = chosen_assembly_;
         stepgraph_.reset();
         ctx_.stepgraph = nullptr;
-    }
-    /// Select the acceleration nodal-assembly strategy (default: gather).
-    /// `colored_scatter` builds the conflict colouring on first use.
-    void set_assembly(par::Assembly assembly);
-    /// Enable colour-parallel acceleration scatter (builds the colouring).
-    void enable_colored_scatter() {
-        set_assembly(par::Assembly::colored_scatter);
     }
 
     /// One step of Algorithm 1. Returns the step record.
@@ -135,8 +125,8 @@ private:
     setup::Problem problem_;
     hydro::State state_;
     hydro::Context ctx_;
-    /// Lagrangian-step task graph (Schedule::taskgraph with a pool and
-    /// gather assembly); built lazily on the first step after set_exec.
+    /// Lagrangian-step task graph (Schedule::taskgraph with a pool);
+    /// built lazily on the first step after set_exec.
     std::unique_ptr<hydro::StepGraph> stepgraph_;
     ale::Workspace ale_work_;
     util::Profiler profiler_;
@@ -144,9 +134,6 @@ private:
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0
     /// baseline row. Null when disabled.
     std::unique_ptr<io::CsvWriter> history_;
-    par::Coloring coloring_;
-    par::Assembly chosen_assembly_ = par::Assembly::gather;
-    bool assembly_chosen_ = false;
     Real t_ = 0.0;
     /// Unclamped controller dt — the growth reference for the next
     /// getdt. The t_end clamp applies only to the dt a step advances by

@@ -22,8 +22,8 @@
 /// consumes dt. Because every kernel piece involved is per-item
 /// independent, the exchanged bytes are identical and the reduction is
 /// rank-order deterministic, the two schedules are bitwise identical at
-/// every rank count — for either halo wire format (Options::packing:
-/// one coalesced message per peer, or the per-field ablation).
+/// every rank count. Every exchange ships one coalesced message per peer
+/// (typhon's only wire format).
 
 #include "dist/distributed.hpp"
 
@@ -88,37 +88,32 @@ void rebuild_ghost_state(const hydro::Context& ctx, hydro::State& s,
 /// The fused pre-step state halo: node kinematics {x, y, u, v} and ghost
 /// internal energy {ein} as ONE wire exchange — where a peer appears in
 /// both schedules (the common case: a rank owning our ghost cells
-/// usually owns nodes of ours too) the coalesced packing ships a single
-/// message carrying both groups' slices, collapsing the per-step
+/// usually owns nodes of ours too) the exchange ships a single message
+/// carrying both groups' slices, collapsing the per-step
 /// pre-exchange from two messages per peer to one.
 [[nodiscard]] typhon::PendingExchange
 start_state_halo(hydro::State& s, typhon::Comm& comm,
-                 const part::Subdomain& sub, typhon::Packing packing) {
-    // Field lists and the Subdomain wire-format metadata must change
-    // together (messages_per_step's accounting rests on them).
-    static_assert(part::Subdomain::node_exchange_fields == 4 &&
-                  part::Subdomain::cell_exchange_fields == 1);
+                 const part::Subdomain& sub) {
     const std::array<typhon::FieldGroup, 2> groups{
         typhon::FieldGroup{&sub.node_schedule, {std::span<Real>(s.x),
                                                 std::span<Real>(s.y),
                                                 std::span<Real>(s.u),
                                                 std::span<Real>(s.v)}},
         typhon::FieldGroup{&sub.cell_schedule, {std::span<Real>(s.ein)}}};
-    return typhon::exchange_start(comm, groups, 100, packing);
+    return typhon::exchange_start(comm, groups, 100);
 }
 
 /// Pre-step halo: refresh ghost node kinematics and ghost internal energy,
 /// then rebuild the ghost dependent state.
 void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
-                    typhon::Comm& comm, const part::Subdomain& sub,
-                    typhon::Packing packing) {
+                    typhon::Comm& comm, const part::Subdomain& sub) {
     {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         typhon::PendingExchange halo;
         {
             const util::ScopedTimer pack(*ctx.profiler,
                                          util::Kernel::halo_pack);
-            halo = start_state_halo(s, comm, sub, packing);
+            halo = start_state_halo(s, comm, sub);
         }
         halo.finish(ctx.profiler);
     }
@@ -129,8 +124,7 @@ void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
 /// Mirrors hydro::lagstep exactly, with typhon traffic inserted where the
 /// paper's Algorithm 1 places it.
 void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
-                  typhon::Comm& comm, const part::Subdomain& sub,
-                  typhon::Packing packing) {
+                  typhon::Comm& comm, const part::Subdomain& sub) {
     snapshot(ctx, s);
     const Real half_dt = Real(0.5) * dt;
 
@@ -149,14 +143,13 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
         // Pre-acceleration halo: ghost corner forces from their owners.
         // After this, the gather at any node of an owned cell sees exactly
         // the corner forces a serial run would.
-        static_assert(part::Subdomain::corner_exchange_fields == 2);
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         typhon::PendingExchange corners;
         {
             const util::ScopedTimer pack(*ctx.profiler,
                                          util::Kernel::halo_pack);
             corners = typhon::exchange_start(comm, sub.corner_schedule,
-                                             {s.fx, s.fy}, 200, packing);
+                                             {s.fx, s.fy}, 200);
         }
         corners.finish(ctx.profiler);
     }
@@ -186,7 +179,7 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
 hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
                               Real dt_local, bool reduce, Real t, Real t_end,
                               typhon::Comm& comm, const part::Subdomain& sub,
-                              typhon::Packing packing, Real& regrow_limit) {
+                              Real& regrow_limit) {
     const std::span<const Index> interior(sub.interior_cells);
     const std::span<const Index> boundary(sub.boundary_cells);
 
@@ -209,7 +202,7 @@ hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
     {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
-        state_halo = start_state_halo(s, comm, sub, packing);
+        state_halo = start_state_halo(s, comm, sub);
     }
     hydro::getq(ctx, s, interior);
     hydro::getforce(ctx, s, interior);
@@ -230,17 +223,10 @@ hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
         dt_global = dt_reduce.wait();
     }
     // Health-guard re-growth ceiling, applied to the *reduced* controller
-    // value — the exact serial sequence (core::Hydro::step_clamped),
-    // evaluated identically on every rank because the reduced dt and the
-    // limit are globally agreed quantities.
-    if (reduce && regrow_limit > 0.0) {
-        if (dt_global > regrow_limit) {
-            dt_global = regrow_limit;
-            regrow_limit *= ctx.opts.guard.regrow_cap;
-        } else {
-            regrow_limit = 0.0;
-        }
-    }
+    // value (globally agreed, so every rank evaluates it identically).
+    if (reduce)
+        hydro::apply_regrow_ceiling(dt_global, regrow_limit,
+                                    ctx.opts.guard.regrow_cap);
     const auto step_dt = hydro::clamp_to_t_end(t, dt_global, t_end);
 
     const Real dt = step_dt.used;
@@ -262,11 +248,10 @@ hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
     hydro::getforce(ctx, s, boundary);
     typhon::PendingExchange corner_halo;
     {
-        static_assert(part::Subdomain::corner_exchange_fields == 2);
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
         corner_halo = typhon::exchange_start(comm, sub.corner_schedule,
-                                             {s.fx, s.fy}, 200, packing);
+                                             {s.fx, s.fy}, 200);
     }
     hydro::getq(ctx, s, interior);
     hydro::getforce(ctx, s, interior);
@@ -460,8 +445,7 @@ void restore_rank_state(const part::Subdomain& sub,
 /// every task writes disjoint slots.
 void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
                       const ale::Options& ale, ale::Workspace& w,
-                      typhon::Comm& comm, const part::Subdomain& sub,
-                      typhon::Packing packing) {
+                      typhon::Comm& comm, const part::Subdomain& sub) {
     const auto& mesh = *ctx.mesh;
     const Index n_owned = sub.n_owned_cells;
 
@@ -494,7 +478,6 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
     }
 
     // Post the ghost-gradient exchange; its finish is a graph node below.
-    static_assert(part::Subdomain::remap_grad_fields == 4);
     typhon::PendingExchange grads;
     {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
@@ -502,7 +485,7 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
         grads = typhon::exchange_start(comm, sub.remap_cell_schedule,
                                        {w.grad_rho_x, w.grad_rho_y,
                                         w.grad_e_x, w.grad_e_y},
-                                       320, packing);
+                                       320);
     }
 
     par::TaskGraph graph;
@@ -579,20 +562,18 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
 } // namespace
 
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
-           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
-           typhon::Packing packing) {
+           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub) {
     // 1. Pre-remap state refresh: the corrector left ghost kinematics and
     // energy stale (fringe assemblies are incomplete); the remap reads
     // them everywhere, so run the same fused halo + ghost rebuild the
     // next step would.
-    refresh_ghosts(ctx, s, comm, sub, packing);
+    refresh_ghosts(ctx, s, comm, sub);
 
     // 2. Target mesh. ALE smoothing needs one node-position halo per
     // Jacobi pass (and one after the clamp): a fringe node's local
     // adjacency is incomplete, so its owner's value overwrites it before
     // the next pass reads it. Eulerian targets are exact locally.
     if (ale.mode == ale::Mode::ale) {
-        static_assert(part::Subdomain::remap_mesh_fields == 2);
         ale::alegetmesh(ctx, s, ale, w,
                         [&](std::vector<Real>& xt, std::vector<Real>& yt) {
                             const util::ScopedTimer timer(*ctx.profiler,
@@ -602,8 +583,7 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
                                 const util::ScopedTimer pack(
                                     *ctx.profiler, util::Kernel::halo_pack);
                                 mesh_halo = typhon::exchange_start(
-                                    comm, sub.node_schedule, {xt, yt}, 300,
-                                    packing);
+                                    comm, sub.node_schedule, {xt, yt}, 300);
                             }
                             mesh_halo.finish(ctx.profiler);
                         });
@@ -625,10 +605,9 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
         // 4. (graph) The exchange finish releases only the ghost-touching
         // face blocks; interior fluxes and per-block cell/dual sweeps
         // overlap the in-flight messages. Bitwise == the blocking branch.
-        remap_flux_graph(ctx, s, ale, w, comm, sub, packing);
+        remap_flux_graph(ctx, s, ale, w, comm, sub);
     } else {
         {
-            static_assert(part::Subdomain::remap_grad_fields == 4);
             const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
             typhon::PendingExchange grads;
             {
@@ -637,7 +616,7 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
                 grads = typhon::exchange_start(comm, sub.remap_cell_schedule,
                                                {w.grad_rho_x, w.grad_rho_y,
                                                 w.grad_e_x, w.grad_e_y},
-                                               320, packing);
+                                               320);
             }
             grads.finish(ctx.profiler);
         }
@@ -656,8 +635,6 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
     // dual fluxes of ghost cells, which their far faces make impossible
     // to compute here.
     {
-        static_assert(part::Subdomain::remap_cell_result_fields == 2 &&
-                      part::Subdomain::remap_dual_fields == 2);
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         const std::array<typhon::FieldGroup, 2> groups{
             typhon::FieldGroup{&sub.cell_schedule,
@@ -670,7 +647,7 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
         {
             const util::ScopedTimer pack(*ctx.profiler,
                                          util::Kernel::halo_pack);
-            results = typhon::exchange_start(comm, groups, 340, packing);
+            results = typhon::exchange_start(comm, groups, 340);
         }
         results.finish(ctx.profiler);
     }
@@ -877,7 +854,6 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
         }
 
         ale::Workspace ale_work;
-        const bool remap_enabled = opts.ale.mode != ale::Mode::lagrange;
         const auto& guard = opts.hydro.guard;
         hydro::StepBackup backup;
 
@@ -1036,7 +1012,7 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
                 // the pre-step state halo.
                 const auto step_dt =
                     overlap_step(ctx, s, dt_local, steps > 0, t, opts.t_end,
-                                 comm, sub, opts.packing, regrow_limit);
+                                 comm, sub, regrow_limit);
                 dt_prev = step_dt.unclamped;
                 dt_used = step_dt.used;
                 t_end_clamped = step_dt.used != step_dt.unclamped;
@@ -1049,22 +1025,15 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
                                                  util::Kernel::reduce_wait);
                     dt_global = comm.allreduce_min(dt_local);
                 }
-                // Re-growth ceiling on the reduced controller value — the
-                // serial sequence, identical on every rank (see
-                // overlap_step).
-                if (steps > 0 && regrow_limit > 0.0) {
-                    if (dt_global > regrow_limit) {
-                        dt_global = regrow_limit;
-                        regrow_limit *= guard.regrow_cap;
-                    } else {
-                        regrow_limit = 0.0;
-                    }
-                }
+                // Re-growth ceiling on the reduced controller value.
+                if (steps > 0)
+                    hydro::apply_regrow_ceiling(dt_global, regrow_limit,
+                                                guard.regrow_cap);
                 const auto step_dt =
                     hydro::clamp_to_t_end(t, dt_global, opts.t_end);
                 dt_prev = step_dt.unclamped;
-                refresh_ghosts(ctx, s, comm, sub, opts.packing);
-                dist_lagstep(ctx, s, step_dt.used, comm, sub, opts.packing);
+                refresh_ghosts(ctx, s, comm, sub);
+                dist_lagstep(ctx, s, step_dt.used, comm, sub);
                 dt_used = step_dt.used;
                 t_end_clamped = step_dt.used != step_dt.unclamped;
             }
@@ -1105,8 +1074,8 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
                                   "dt_min at step " +
                                       std::to_string(steps + 1));
                     hydro::restore_step(ctx, s, backup);
-                    refresh_ghosts(ctx, s, comm, sub, opts.packing);
-                    dist_lagstep(ctx, s, dt_try, comm, sub, opts.packing);
+                    refresh_ghosts(ctx, s, comm, sub);
+                    dist_lagstep(ctx, s, dt_try, comm, sub);
                     dt_used = dt_try;
                     healthy = hydro::step_healthy(s, sub.n_owned_cells,
                                                   sub.node_owned);
@@ -1121,15 +1090,8 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
             }
             t += dt_used;
 
-            // Remap cadence as in core::Hydro::step_clamped: Eulerian
-            // every step, ALE every `frequency` steps (1-based).
-            bool remapped = false;
-            if (remap_enabled &&
-                (opts.ale.mode == ale::Mode::eulerian ||
-                 (steps + 1) % opts.ale.frequency == 0)) {
-                remap(ctx, s, opts.ale, ale_work, comm, sub, opts.packing);
-                remapped = true;
-            }
+            const bool remapped = ale::remap_due(opts.ale, steps);
+            if (remapped) remap(ctx, s, opts.ale, ale_work, comm, sub);
             if (telemetry) {
                 // Recorded after the step's physics committed (passive —
                 // telemetry reads state, never feeds back into it). The
@@ -1331,9 +1293,6 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
             report.mode = "distributed";
             report.n_ranks = ranks_now;
             report.overlap = opts.overlap;
-            report.packing = opts.packing == typhon::Packing::coalesced
-                                 ? "coalesced"
-                                 : "per_field";
             report.steps = result.steps;
             report.t_final = result.t_final;
             report.wall_s = run_timer.elapsed();
@@ -1356,7 +1315,6 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
             report.config.n_threads = opts.n_threads;
             report.config.n_ranks = ranks_now;
             report.config.overlap = opts.overlap;
-            report.config.packing = report.packing;
             report.work = perfmodel::telemetry_work_model(opts.n_threads);
 
             // Attach what only the host side holds: the Hub's per-peer
@@ -1417,11 +1375,11 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
                         static_cast<long long>(rr.evicted.steps) +
                         static_cast<long long>(rr.steps.size());
                     expected += static_cast<long long>(
-                                    sub_r.messages_per_step(opts.packing)) *
+                                    sub_r.messages_per_step()) *
                                 n_steps;
                     expected +=
                         static_cast<long long>(
-                            sub_r.messages_per_remap(opts.packing, n_mesh)) *
+                            sub_r.messages_per_remap(n_mesh)) *
                         remaps;
                     // Plus the rank's tag-502 live-window sends.
                     expected += static_cast<long long>(rr.windows.size());

@@ -56,12 +56,6 @@ struct Options {
     /// rank-ordered reduction gives the same dt, only the execution order
     /// of per-item-independent kernels changes.
     bool overlap = true;
-    /// Halo wire format (orthogonal to `overlap`): coalesced posts one
-    /// message per peer per exchange with the fields' slices back-to-back
-    /// in schedule order; per_field is the one-message-per-field ablation
-    /// baseline. The two land bitwise-identical ghost bytes, so every
-    /// (overlap, packing) combination produces bitwise-identical fields.
-    typhon::Packing packing = typhon::Packing::coalesced;
     /// Worker threads per rank (the hybrid MPI+OpenMP analogue). 1 keeps
     /// the flat-MPI model: each rank runs its subdomain serially. > 1
     /// attaches a per-rank par::ThreadPool, so every hydro/ALE kernel runs
@@ -131,9 +125,9 @@ struct Result {
     /// Per-rank kernel timing snapshots (halo / reduce included).
     std::vector<std::array<util::KernelStats, util::kernel_count>> profiles;
     /// Aggregate point-to-point traffic of the run (all ranks): what the
-    /// message-coalescing ablation counts. Deliberately *not* part of
-    /// bitwise_equal — coalesced and per-field packings move the same
-    /// field bytes in different message shapes.
+    /// message-count checks compare with Subdomain::messages_per_step()
+    /// and messages_per_remap(). Deliberately *not* part of bitwise_equal
+    /// — it describes the wire, not the physics.
     typhon::Traffic traffic;
     /// Paths of the checkpoints rank 0 wrote during the run (in order).
     std::vector<std::string> checkpoints;
@@ -175,9 +169,8 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// rebuilds the derived state, and steps from (snapshot.t,
 /// snapshot.steps) with the snapshot's unclamped dt growth reference.
 /// Contract: the gathered result at t_end is bitwise identical to the
-/// uninterrupted run at any rank count, under every (overlap x packing)
-/// combination. Throws util::Error if the snapshot does not match the
-/// mesh.
+/// uninterrupted run at any rank count, under either overlap schedule.
+/// Throws util::Error if the snapshot does not match the mesh.
 Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
            const ckpt::Snapshot& snapshot, const Options& opts);
 
@@ -203,8 +196,7 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// ctx.assembly_corners must point at sub.assembly_corners (dist::run
 /// arranges this) so the nodal gathers sum in serial order.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
-           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
-           typhon::Packing packing);
+           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 
 /// True when every gathered field of the two results is bitwise equal
 /// (and the step counts match). The single definition of the

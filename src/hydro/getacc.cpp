@@ -7,19 +7,13 @@
 /// The corner->node assembly is the data dependency the paper highlights
 /// (§IV-B): written as a scatter (cells deposit into shared nodes) it
 /// races under threading, so the reference OpenMP port leaves the loop
-/// unparallelised. The default here transposes the assembly into a gather
-/// over nodes using the mesh's node->(cell, corner) CSR: each node sums
-/// its incident corner contributions independently — embarrassingly
-/// parallel, no colouring barriers, and bitwise identical to the serial
-/// scatter at any thread count because CSR rows list corners in exactly
-/// the scatter's deposition order. The gather also fuses the zeroing of
-/// node_mass/nfx/nfy into the assembly loop (the scatter paths must
-/// pre-zero in a separate parallel pass).
-///
-/// The paper-faithful behaviours remain selectable through
-/// `Exec::assembly` as ablation baselines: `serial_scatter` (the reference
-/// data dependency) and `colored_scatter` (greedy conflict colouring, the
-/// "fix" §IV-B alludes to; requires `ctx.scatter_coloring`).
+/// unparallelised. Here it is a gather over nodes using the mesh's
+/// node->(cell, corner) CSR: each node sums its incident corner
+/// contributions independently — embarrassingly parallel, and bitwise
+/// identical to the serial scatter at any thread count because CSR rows
+/// list corners in exactly the scatter's deposition order (the test suite
+/// keeps the scatter as its oracle). The gather also fuses the zeroing of
+/// node_mass/nfx/nfy into the assembly loop.
 
 #include "hydro/kernels.hpp"
 #include "util/error.hpp"
@@ -27,18 +21,6 @@
 namespace bookleaf::hydro {
 
 namespace {
-
-/// Scatter one cell's corner masses and forces into the nodal arrays.
-inline void scatter_cell(const mesh::Mesh& mesh, State& s, Index c,
-                         std::span<Real> nm) {
-    for (int k = 0; k < corners_per_cell; ++k) {
-        const auto n = static_cast<std::size_t>(mesh.cn(c, k));
-        const auto ki = State::cidx(c, k);
-        nm[n] += s.cnmass[ki];
-        s.nfx[n] += s.fx[ki];
-        s.nfy[n] += s.fy[ki];
-    }
-}
 
 /// Gather one node's corner masses and forces (fused zero+accumulate).
 inline void gather_node(const util::Csr& nc, State& s, Index n) {
@@ -53,47 +35,6 @@ inline void gather_node(const util::Csr& nc, State& s, Index n) {
     s.node_mass[ni] = m;
     s.nfx[ni] = fx;
     s.nfy[ni] = fy;
-}
-
-/// Gather-based assembly: one pass over nodes, zero+accumulate fused.
-/// Rows come from ctx.corner_gather(): the mesh CSR in serial runs, the
-/// subdomain's globally-ordered permutation in distributed runs (same
-/// sums, serial deposition order — bitwise identical to the serial run).
-void assemble_gather(const Context& ctx, State& s, Index n_nodes) {
-    const auto& nc = ctx.corner_gather();
-    par::for_each(ctx.exec, n_nodes,
-                  [&](Index n) { gather_node(nc, s, n); });
-}
-
-/// Legacy scatter assembly (serial or coloured), for the §IV-B ablations.
-void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
-                      Index n_cells) {
-    // Zero in parallel (the legacy paths previously paid three serial
-    // std::fill passes here even with a pool present).
-    par::for_each(ctx.exec, n_nodes, [&](Index n) {
-        const auto ni = static_cast<std::size_t>(n);
-        s.node_mass[ni] = 0.0;
-        s.nfx[ni] = 0.0;
-        s.nfy[ni] = 0.0;
-    });
-
-    const bool use_colors = ctx.exec.assembly == par::Assembly::colored_scatter &&
-                            ctx.scatter_coloring != nullptr &&
-                            ctx.exec.threaded();
-    if (use_colors) {
-        // Race-free parallel scatter: cells within a colour class share no
-        // node, classes run back-to-back.
-        for (const auto& cls : ctx.scatter_coloring->classes) {
-            par::for_each(ctx.exec, static_cast<Index>(cls.size()), [&](Index i) {
-                scatter_cell(*ctx.mesh, s, cls[static_cast<std::size_t>(i)],
-                             s.node_mass);
-            });
-        }
-    } else {
-        // The reference behaviour: serial scatter (data dependency).
-        for (Index c = 0; c < n_cells; ++c)
-            scatter_cell(*ctx.mesh, s, c, s.node_mass);
-    }
 }
 
 } // namespace
@@ -191,11 +132,12 @@ void getacc_advance(const Context& ctx, State& s, Real dt) {
 void getacc(const Context& ctx, State& s, Real dt) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getacc,
                                   ctx.mesh->n_nodes());
-    const auto& mesh = *ctx.mesh;
-    if (ctx.exec.assembly == par::Assembly::gather)
-        assemble_gather(ctx, s, mesh.n_nodes());
-    else
-        assemble_scatter(ctx, s, mesh.n_nodes(), mesh.n_cells());
+    // Rows come from ctx.corner_gather(): the mesh CSR in serial runs, the
+    // subdomain's globally-ordered permutation in distributed runs (same
+    // sums, serial deposition order — bitwise identical to the serial run).
+    const auto& nc = ctx.corner_gather();
+    par::for_each(ctx.exec, ctx.mesh->n_nodes(),
+                  [&](Index n) { gather_node(nc, s, n); });
     advance_nodes(ctx, s, dt);
 }
 

@@ -14,8 +14,8 @@
 #include "hydro/options.hpp"
 #include "hydro/state.hpp"
 #include "mesh/mesh.hpp"
-#include "par/coloring.hpp"
 #include "par/exec.hpp"
+#include "util/csr.hpp"
 #include "util/profiler.hpp"
 
 namespace bookleaf::par {
@@ -27,9 +27,7 @@ namespace bookleaf::hydro {
 class StepGraph;
 
 /// Everything a kernel needs besides the state: mesh topology, materials,
-/// options, execution policy, profiler, and (optionally) the scatter
-/// colouring for the `Assembly::colored_scatter` ablation path of the
-/// acceleration kernel.
+/// options, execution policy, profiler, and the driver-owned hooks below.
 struct Context {
     const mesh::Mesh* mesh = nullptr;
     const eos::MaterialTable* materials = nullptr;
@@ -39,7 +37,6 @@ struct Context {
     /// (hand-built) contexts safe. Drivers overwrite it with their own
     /// per-run instance so concurrent runs never share stats.
     util::Profiler* profiler = &util::default_profiler();
-    const par::Coloring* scatter_coloring = nullptr;
     /// Distributed runs: number of *owned* cells (owned-first ordering).
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
@@ -54,10 +51,9 @@ struct Context {
     const util::Csr* assembly_corners = nullptr;
     /// Task-graph executor for the Lagrangian step, built by the owning
     /// driver when `exec.schedule == Schedule::taskgraph` applies (pool
-    /// present, gather assembly). lagstep dispatches to it; nullptr (bare
-    /// contexts, the fork-join ablation, the scatter ablations) runs the
-    /// barrier-per-kernel sequence. Results are bitwise identical either
-    /// way.
+    /// present). lagstep dispatches to it; nullptr (bare contexts, the
+    /// fork-join ablation) runs the barrier-per-kernel sequence. Results
+    /// are bitwise identical either way.
     StepGraph* stepgraph = nullptr;
     /// Attribution collector: when the owning driver runs with telemetry
     /// active it attaches a par::GraphRunLog here and every task-graph
@@ -111,17 +107,15 @@ void getforce(const Context& ctx, State& s, std::span<const Index> cells);
 
 /// Acceleration: assemble corner masses/forces onto nodes, apply boundary
 /// conditions, advance velocities by dt and form the time-centred
-/// velocities (ubar, vbar). The assembly strategy follows
-/// `exec.assembly`: the default gather over the node->(cell, corner) CSR
-/// is race-free and bitwise thread-count independent; `serial_scatter`
-/// and `colored_scatter` reproduce the paper's §IV-B behaviours (the
-/// latter needs `ctx.scatter_coloring`).
+/// velocities (ubar, vbar). The assembly gathers each node's corners over
+/// the node->(cell, corner) CSR (ctx.corner_gather()): race-free, and
+/// bitwise equal to the paper's serial corner scatter (§IV-B) at any
+/// thread count.
 void getacc(const Context& ctx, State& s, Real dt);
 
 /// Subrange pieces of the acceleration kernel for the distributed
 /// driver's halo/compute overlap. `getacc_assemble` gathers nodal mass and
-/// force for an explicit node list (always the race-free gather; the
-/// scatter ablations make no sense over subsets); nodes not incident to
+/// force for an explicit node list; nodes not incident to
 /// any ghost cell can be assembled while ghost corner forces are still in
 /// flight. `getacc_advance` performs the remaining whole-range work of
 /// getacc (velocity advance, boundary conditions, time-centred
@@ -194,6 +188,25 @@ struct ClampedDt {
 };
 [[nodiscard]] inline ClampedDt clamp_to_t_end(Real t, Real dt, Real t_end) {
     return {t + dt > t_end ? t_end - t : dt, dt};
+}
+
+/// The health-guard re-growth ceiling, applied to the (globally reduced)
+/// controller dt after a dt-backoff retry armed `limit` (0 = inactive).
+/// While the controller exceeds the limit, dt is capped at it and the
+/// limit grows by `regrow_cap`; the first step the controller ducks
+/// under, the limit clears. Returns true when the ceiling bound dt. The
+/// single definition shared by the serial driver and both distributed
+/// schedules; every rank holds the same limit and reduced dt, so the cap
+/// commutes with the min-reduction and replicates bitwise.
+inline bool apply_regrow_ceiling(Real& dt, Real& limit, Real regrow_cap) {
+    if (!(limit > 0.0)) return false;
+    if (dt > limit) {
+        dt = limit;
+        limit *= regrow_cap;
+        return true;
+    }
+    limit = 0.0;
+    return false;
 }
 
 /// One full predictor-corrector Lagrangian step (Algorithm 1's LAGSTEP).

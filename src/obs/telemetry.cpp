@@ -207,10 +207,7 @@ Json to_json(const RunReport& report) {
     root["label"] = Json(report.label);
     root["mode"] = Json(report.mode);
     root["n_ranks"] = Json(report.n_ranks);
-    if (report.mode == "distributed") {
-        root["overlap"] = Json(report.overlap);
-        root["packing"] = Json(report.packing);
-    }
+    if (report.mode == "distributed") root["overlap"] = Json(report.overlap);
     root["steps"] = Json(report.steps);
     root["t_final"] = Json(report.t_final);
     root["wall_s"] = Json(report.wall_s);
@@ -222,7 +219,6 @@ Json to_json(const RunReport& report) {
     cfg["n_threads"] = Json(report.config.n_threads);
     cfg["n_ranks"] = Json(report.config.n_ranks);
     cfg["overlap"] = Json(report.config.overlap);
-    cfg["packing"] = Json(report.config.packing);
 
     if (report.work.present) {
         Json& work = root["work_model"];

@@ -4,20 +4,13 @@
 /// paper's programming-model space:
 ///   * serial           — pool == nullptr (one rank of the flat-MPI model)
 ///   * threaded         — pool != nullptr (the OpenMP-analogue)
-/// plus the nodal-assembly strategy for the acceleration kernel, the
-/// structural artefact §IV-B documents for the OpenMP port:
-///   * `Assembly::gather`  (default) — the corner-force scatter is
-///     transposed into a race-free gather over nodes via the mesh's
-///     node->(cell, corner) CSR: embarrassingly parallel and bitwise
-///     deterministic at any thread count;
-///   * `Assembly::serial_scatter` — the reference behaviour: the scatter
-///     is a data dependency and runs serially even when a pool is present
-///     (the paper left the kernel unparallelised);
-///   * `Assembly::colored_scatter` — a greedy conflict colouring
-///     parallelises the scatter class-by-class (the "fix" the paper
-///     alludes to); kept as an ablation baseline.
-/// `serial_reductions` mimics the `workshare` implementations that give
-/// all reduction work to a single thread (the MINVAL/MINLOC sites).
+/// for_each and reduce_min give bitwise-identical results at any pool
+/// width (loop bodies write disjoint slots; the min-reduction's result
+/// does not depend on the block split), and reduce_sum is repeatable at a
+/// given width (partials combine in block order). The acceleration
+/// kernel's nodal assembly, the data dependency §IV-B names for the
+/// OpenMP port, is the race-free gather over the node->(cell, corner) CSR
+/// (hydro/getacc.cpp).
 
 #include <algorithm>
 #include <atomic>
@@ -29,13 +22,6 @@
 #include "util/types.hpp"
 
 namespace bookleaf::par {
-
-/// Nodal-assembly strategy for the acceleration kernel (§IV-B).
-enum class Assembly {
-    gather,          ///< node-centred gather (default; race-free, bitwise)
-    serial_scatter,  ///< paper-faithful serial corner scatter
-    colored_scatter, ///< conflict-coloured parallel scatter (ablation)
-};
 
 /// Step-level scheduling strategy. `taskgraph` expresses the Lagrangian
 /// step and the ALE advection phases as dependency graphs over cell/node
@@ -51,9 +37,7 @@ enum class Schedule {
 
 struct Exec {
     ThreadPool* pool = nullptr;
-    Assembly assembly = Assembly::gather;
     Schedule schedule = Schedule::taskgraph;
-    bool serial_reductions = false;
     /// Minimum iterations handed to a worker per chunk in for_each; 0
     /// selects an automatic grain (~4 chunks per worker for dynamic load
     /// balance on irregular meshes without starving the fast threads).
@@ -140,8 +124,7 @@ struct MinLoc {
     Index index = no_index;
 };
 
-/// Minimum of value_of(i) over [0, n) with argmin. Honors
-/// `serial_reductions` (the hybrid-model artefact). Partial results use a
+/// Minimum of value_of(i) over [0, n) with argmin. Partial results use a
 /// static block decomposition and combine in block order, so the result is
 /// identical at any thread count.
 template <typename ValueOf>
@@ -157,7 +140,7 @@ MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
         }
         return r;
     };
-    if (!ex.threaded() || ex.serial_reductions || n < 2) return serial(0, n);
+    if (!ex.threaded() || n < 2) return serial(0, n);
 
     const int parts = ex.pool->size();
     std::vector<MinLoc> partial(static_cast<std::size_t>(parts),
@@ -182,7 +165,7 @@ Real reduce_sum(const Exec& ex, Index n, ValueOf&& value_of) {
         for (Index i = begin; i < end; ++i) s += value_of(i);
         return s;
     };
-    if (!ex.threaded() || ex.serial_reductions || n < 2) return serial(0, n);
+    if (!ex.threaded() || n < 2) return serial(0, n);
     const int parts = ex.pool->size();
     std::vector<Real> partial(static_cast<std::size_t>(parts), 0.0);
     ex.pool->run([&](int tid) {

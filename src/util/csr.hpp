@@ -1,7 +1,7 @@
 #pragma once
 /// \file csr.hpp
 /// Compressed sparse row adjacency used for mesh connectivity
-/// (node -> cells), partition ghost maps, and scatter-conflict graphs.
+/// (node -> cells) and partition ghost maps.
 
 #include <span>
 #include <vector>

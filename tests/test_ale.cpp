@@ -82,6 +82,22 @@ struct Rig {
 
 } // namespace
 
+TEST(AleStep, RemapCadenceCountsStepsFromOne) {
+    // The one cadence definition both drivers use: Lagrange never
+    // remaps, Eulerian after every step, ALE after every `frequency`-th
+    // step counted from 1 (0-based step indices 2, 5, 8 for frequency 3).
+    ba::Options opts;
+    for (int step = 0; step < 9; ++step)
+        EXPECT_FALSE(ba::remap_due(opts, step)) << step;
+    opts.mode = ba::Mode::eulerian;
+    for (int step = 0; step < 9; ++step)
+        EXPECT_TRUE(ba::remap_due(opts, step)) << step;
+    opts.mode = ba::Mode::ale;
+    opts.frequency = 3;
+    for (int step = 0; step < 9; ++step)
+        EXPECT_EQ(ba::remap_due(opts, step), step % 3 == 2) << step;
+}
+
 TEST(AleStep, LagrangeModeIsNoOp) {
     Rig rig({.nx = 4, .ny = 4});
     const auto x_before = rig.state.x;

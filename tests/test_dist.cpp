@@ -167,15 +167,44 @@ namespace bt = bookleaf::typhon;
 bd::Result run_mode(const bm::Mesh& mesh, const be::MaterialTable& materials,
                     const std::vector<Real>& rho, const std::vector<Real>& ein,
                     const std::vector<Real>& u, const std::vector<Real>& v,
-                    int n_ranks, Real t_end, bool overlap,
-                    bt::Packing packing = bt::Packing::coalesced) {
+                    int n_ranks, Real t_end, bool overlap) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro.dt_initial = 1e-4;
     opts.overlap = overlap;
-    opts.packing = packing;
     return bd::run(mesh, materials, rho, ein, u, v, opts);
+}
+
+/// The serial core::Hydro run of a run_mode configuration (default hydro
+/// options, dt_initial 1e-4), in the gathered Result shape so the
+/// distributed runs can be held to it with expect_bitwise_equal.
+bd::Result run_serial(const bm::Mesh& mesh, const be::MaterialTable& materials,
+                      const std::vector<Real>& rho,
+                      const std::vector<Real>& ein,
+                      const std::vector<Real>& u, const std::vector<Real>& v,
+                      Real t_end) {
+    bookleaf::setup::Problem problem;
+    problem.mesh = mesh;
+    problem.materials = materials;
+    problem.rho = rho;
+    problem.ein = ein;
+    problem.u = u;
+    problem.v = v;
+    problem.hydro.dt_initial = 1e-4;
+    bookleaf::core::Hydro h(std::move(problem));
+    const auto summary = h.run(t_end);
+    bd::Result r;
+    r.steps = summary.steps;
+    r.t_final = summary.t_final;
+    const auto& s = h.state();
+    r.rho.assign(s.rho.begin(), s.rho.end());
+    r.ein.assign(s.ein.begin(), s.ein.end());
+    r.u.assign(s.u.begin(), s.u.end());
+    r.v.assign(s.v.begin(), s.v.end());
+    r.x.assign(s.x.begin(), s.x.end());
+    r.y.assign(s.y.begin(), s.y.end());
+    return r;
 }
 
 /// Bitwise comparison of two gathered results (the overlap contract:
@@ -258,88 +287,64 @@ TEST(DistOverlap, HaloProfileStillPopulated) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced per-peer halo packing (Packing ablation + message counts)
+// Coalesced per-peer halo wire format (message counts)
 // ---------------------------------------------------------------------------
 
-TEST(DistPacking, CoalescedEqualsPerFieldEqualsBlockingOnSod) {
-    // The full matrix at every rank count: the wire format and the
-    // schedule are orthogonal knobs, and all four combinations must land
-    // bitwise-identical fields.
+TEST(DistPacking, CoalescedOverlapEqualsBlockingEqualsSerialOnSod) {
+    // At every rank count both schedules must land fields bitwise equal
+    // to each other and to the serial core::Hydro run.
     const auto p = sod_like(48, 4);
+    const auto serial =
+        run_serial(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.04);
+    ASSERT_GT(serial.steps, 0);
     for (const int n_ranks : {1, 2, 4}) {
         const auto label = "sod " + std::to_string(n_ranks) + " ranks";
         const auto coalesced =
             run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, n_ranks,
-                     0.04, true, bt::Packing::coalesced);
-        const auto per_field =
-            run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, n_ranks,
-                     0.04, true, bt::Packing::per_field);
+                     0.04, true);
         const auto blocking_coalesced =
             run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, n_ranks,
-                     0.04, false, bt::Packing::coalesced);
-        const auto blocking_per_field =
-            run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, n_ranks,
-                     0.04, false, bt::Packing::per_field);
-        expect_bitwise_equal(coalesced, per_field, label + " (per-field)");
+                     0.04, false);
+        expect_bitwise_equal(coalesced, serial, label + " (serial)");
         expect_bitwise_equal(coalesced, blocking_coalesced,
                              label + " (blocking)");
-        expect_bitwise_equal(coalesced, blocking_per_field,
-                             label + " (blocking per-field)");
     }
 }
 
-TEST(DistPacking, CoalescedEqualsPerFieldEqualsBlockingOnNoh) {
+TEST(DistPacking, CoalescedOverlapEqualsBlockingEqualsSerialOnNoh) {
     auto p = bookleaf::setup::noh(20);
+    const auto serial =
+        run_serial(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.05);
+    ASSERT_GT(serial.steps, 0);
     for (const int n_ranks : {1, 2, 4}) {
         const auto label = "noh " + std::to_string(n_ranks) + " ranks";
         const auto coalesced = run_mode(p.mesh, p.materials, p.rho, p.ein,
-                                        p.u, p.v, n_ranks, 0.05, true,
-                                        bt::Packing::coalesced);
-        const auto per_field = run_mode(p.mesh, p.materials, p.rho, p.ein,
-                                        p.u, p.v, n_ranks, 0.05, true,
-                                        bt::Packing::per_field);
+                                        p.u, p.v, n_ranks, 0.05, true);
         const auto blocking = run_mode(p.mesh, p.materials, p.rho, p.ein,
-                                       p.u, p.v, n_ranks, 0.05, false,
-                                       bt::Packing::coalesced);
-        expect_bitwise_equal(coalesced, per_field, label + " (per-field)");
+                                       p.u, p.v, n_ranks, 0.05, false);
+        expect_bitwise_equal(coalesced, serial, label + " (serial)");
         expect_bitwise_equal(coalesced, blocking, label + " (blocking)");
     }
 }
 
 TEST(DistPacking, MessageCountIsPeersNotFieldsTimesPeers) {
-    // The tentpole's accounting: with coalescing the per-step message
-    // count collapses from fields x peers to peers on every exchange.
-    // Subdomain::messages_per_step is the single written-down statement
-    // of that wire format; the Hub's traffic counter must agree exactly.
+    // Every exchange posts one message per peer, however many fields it
+    // carries. Subdomain::messages_per_step is the single written-down
+    // statement of that wire format; the Hub's traffic counter must agree
+    // exactly under both schedules.
     const auto p = sod_like(40, 4);
     const int n_ranks = 4;
     const auto part = bp::rcb(p.mesh, n_ranks);
     const auto subs = bp::decompose(p.mesh, part, n_ranks);
-    for (const auto packing :
-         {bt::Packing::coalesced, bt::Packing::per_field}) {
-        long per_step = 0;
-        for (const auto& sub : subs) per_step += sub.messages_per_step(packing);
-        for (const bool overlap : {true, false}) {
-            const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                    p.v, n_ranks, 0.02, overlap, packing);
-            ASSERT_GT(r.steps, 0);
-            EXPECT_EQ(r.traffic.messages,
-                      static_cast<long>(r.steps) * per_step)
-                << (packing == bt::Packing::coalesced ? "coalesced"
-                                                      : "per_field")
-                << (overlap ? " overlap" : " blocking");
-        }
+    long per_step = 0;
+    for (const auto& sub : subs) per_step += sub.messages_per_step();
+    for (const bool overlap : {true, false}) {
+        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
+                                n_ranks, 0.02, overlap);
+        ASSERT_GT(r.steps, 0);
+        EXPECT_EQ(r.traffic.messages, static_cast<long>(r.steps) * per_step)
+            << (overlap ? "overlap" : "blocking");
     }
-    // And coalescing strictly reduces messages while moving the same
-    // payload (ghost reals are identical bytes in both formats).
-    const auto coalesced = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                    p.v, n_ranks, 0.02, true,
-                                    bt::Packing::coalesced);
-    const auto per_field = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                    p.v, n_ranks, 0.02, true,
-                                    bt::Packing::per_field);
-    EXPECT_LT(coalesced.traffic.messages, per_field.traffic.messages);
-    EXPECT_EQ(coalesced.traffic.reals, per_field.traffic.reals);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,14 +396,13 @@ void expect_bitwise_serial(const bd::Result& r, const SerialFields& ref,
 }
 
 bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks, Real t_end,
-                    bool overlap, bt::Packing packing) {
+                    bool overlap) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro = p.hydro;
     opts.ale = p.ale;
     opts.overlap = overlap;
-    opts.packing = packing;
     return bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
 }
 
@@ -408,7 +412,7 @@ TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     // The sod_eulerian.in configuration at test scale: remap back to the
     // generation mesh every step. Gathered rho/ein/u/v/x/y must be
     // bitwise identical to the serial core::Hydro run on owned entities
-    // at every rank count, for every (overlap x packing) combination.
+    // at every rank count, under both overlap schedules.
     const Real t_end = 0.03;
     auto problem = bookleaf::setup::sod(48, 4);
     problem.ale.mode = ba::Mode::eulerian;
@@ -423,18 +427,12 @@ TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     EXPECT_NE(ref.rho, ref_eul.rho);
 
     for (const int n_ranks : {1, 2, 4})
-        for (const bool overlap : {true, false})
-            for (const auto packing :
-                 {bt::Packing::coalesced, bt::Packing::per_field}) {
-                const auto label =
-                    "eulerian sod " + std::to_string(n_ranks) + " ranks " +
-                    (overlap ? "overlap" : "blocking") +
-                    (packing == bt::Packing::coalesced ? " coalesced"
-                                                       : " per-field");
-                const auto r =
-                    run_deck(problem, n_ranks, t_end, overlap, packing);
-                expect_bitwise_serial(r, ref_eul, label);
-            }
+        for (const bool overlap : {true, false}) {
+            const auto label = "eulerian sod " + std::to_string(n_ranks) +
+                               " ranks " + (overlap ? "overlap" : "blocking");
+            const auto r = run_deck(problem, n_ranks, t_end, overlap);
+            expect_bitwise_serial(r, ref_eul, label);
+        }
 }
 
 TEST(DistRemap, AleNohBitwiseMatchesSerialDriver) {
@@ -455,13 +453,9 @@ TEST(DistRemap, AleNohBitwiseMatchesSerialDriver) {
         for (const bool overlap : {true, false}) {
             const auto label = "ale noh " + std::to_string(n_ranks) +
                                " ranks " + (overlap ? "overlap" : "blocking");
-            const auto r = run_deck(problem, n_ranks, t_end, overlap,
-                                    bt::Packing::coalesced);
+            const auto r = run_deck(problem, n_ranks, t_end, overlap);
             expect_bitwise_serial(r, ref, label);
         }
-    // And the packing ablation at the largest rank count.
-    const auto r = run_deck(problem, 4, t_end, true, bt::Packing::per_field);
-    expect_bitwise_serial(r, ref, "ale noh 4 ranks per-field");
 }
 
 TEST(DistRemap, LagrangeIsNowBitwiseRankInvariantToo) {
@@ -472,8 +466,7 @@ TEST(DistRemap, LagrangeIsNowBitwiseRankInvariantToo) {
     const auto problem = bookleaf::setup::sod(40, 4);
     const auto ref = serial_reference(bookleaf::setup::sod(40, 4), t_end);
     for (const int n_ranks : {2, 4}) {
-        const auto r = run_deck(problem, n_ranks, t_end, true,
-                                bt::Packing::coalesced);
+        const auto r = run_deck(problem, n_ranks, t_end, true);
         expect_bitwise_serial(r, ref,
                               "lagrange sod " + std::to_string(n_ranks));
     }
@@ -637,8 +630,7 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
                 rig.prepare(lctx, s, sub.local_nodes);
 
                 ba::Workspace lw;
-                bd::remap(lctx, s, aopts, lw, comm, sub,
-                          bt::Packing::coalesced);
+                bd::remap(lctx, s, aopts, lw, comm, sub);
 
                 for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
                     const auto gc = static_cast<std::size_t>(
@@ -805,34 +797,27 @@ TEST(DistRemap, MessageCountMatchesMetadata) {
     };
     for (const auto& cs : {Case{ba::Mode::eulerian, 1, 0},
                            Case{ba::Mode::ale, 2, 3}}) {
-        for (const auto packing :
-             {bt::Packing::coalesced, bt::Packing::per_field}) {
-            bd::Options opts;
-            opts.n_ranks = n_ranks;
-            opts.t_end = 0.01;
-            opts.hydro.dt_initial = 1e-4;
-            opts.packing = packing;
-            opts.ale.mode = cs.mode;
-            opts.ale.frequency = cs.frequency;
-            opts.ale.smoothing_passes = cs.smoothing_passes;
-            const auto r = bd::run(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                   p.v, opts);
-            ASSERT_GT(r.steps, 0);
-            const int n_mesh_exchanges =
-                cs.mode == ba::Mode::ale ? cs.smoothing_passes + 1 : 0;
-            const long remaps =
-                cs.mode == ba::Mode::eulerian
-                    ? r.steps
-                    : r.steps / cs.frequency; // steps where (k+1) % f == 0
-            long expected = 0;
-            for (const auto& sub : subs)
-                expected +=
-                    static_cast<long>(r.steps) * sub.messages_per_step(packing) +
-                    remaps * sub.messages_per_remap(packing, n_mesh_exchanges);
-            EXPECT_EQ(r.traffic.messages, expected)
-                << (cs.mode == ba::Mode::eulerian ? "eulerian" : "ale")
-                << (packing == bt::Packing::coalesced ? " coalesced"
-                                                      : " per_field");
-        }
+        bd::Options opts;
+        opts.n_ranks = n_ranks;
+        opts.t_end = 0.01;
+        opts.hydro.dt_initial = 1e-4;
+        opts.ale.mode = cs.mode;
+        opts.ale.frequency = cs.frequency;
+        opts.ale.smoothing_passes = cs.smoothing_passes;
+        const auto r =
+            bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
+        ASSERT_GT(r.steps, 0);
+        const int n_mesh_exchanges =
+            cs.mode == ba::Mode::ale ? cs.smoothing_passes + 1 : 0;
+        const long remaps =
+            cs.mode == ba::Mode::eulerian
+                ? r.steps
+                : r.steps / cs.frequency; // steps where (k+1) % f == 0
+        long expected = 0;
+        for (const auto& sub : subs)
+            expected += static_cast<long>(r.steps) * sub.messages_per_step() +
+                        remaps * sub.messages_per_remap(n_mesh_exchanges);
+        EXPECT_EQ(r.traffic.messages, expected)
+            << (cs.mode == ba::Mode::eulerian ? "eulerian" : "ale");
     }
 }

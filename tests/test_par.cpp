@@ -1,6 +1,5 @@
 // Unit and property tests for the parallel runtime: thread pool,
-// parallel_for, reductions (incl. the serial-reduction artefact), and the
-// scatter-conflict colouring.
+// parallel_for and the deterministic reductions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "par/coloring.hpp"
 #include "par/exec.hpp"
 #include "par/thread_pool.hpp"
 #include "util/random.hpp"
@@ -179,21 +177,6 @@ TEST(Exec, ReduceMinMatchesSerialReference) {
     EXPECT_EQ(got.index, ref.index);
 }
 
-TEST(Exec, ReduceMinSerialReductionArtefact) {
-    // With serial_reductions set the result must still be identical; only
-    // the execution path differs (one thread does all the work).
-    bp::ThreadPool pool(4);
-    bp::Exec ex;
-    ex.pool = &pool;
-    ex.serial_reductions = true;
-    std::vector<Real> v = {5.0, 3.0, 9.0, 1.0, 4.0};
-    const auto r = bp::reduce_min(ex, 5, [&](Index i) {
-        return v[static_cast<std::size_t>(i)];
-    });
-    EXPECT_DOUBLE_EQ(r.value, 1.0);
-    EXPECT_EQ(r.index, 3);
-}
-
 TEST(Exec, ReduceMinEmptyRange) {
     const bp::Exec ex;
     const auto r = bp::reduce_min(ex, 0, [](Index) { return 1.0; });
@@ -225,73 +208,4 @@ TEST(Exec, ReduceSumDeterministicAcrossWidths) {
                                   [&](Index i) { return v[static_cast<std::size_t>(i)]; });
     EXPECT_DOUBLE_EQ(a, b);          // repeatable under the same width
     EXPECT_NEAR(a, ref, 1e-12 * ref); // and consistent with serial
-}
-
-namespace {
-
-/// Build the cell->nodes CSR of an nx x ny structured quad grid — the
-/// realistic conflict structure for the acceleration scatter.
-bu::Csr grid_cell_nodes(Index nx, Index ny) {
-    std::vector<std::pair<Index, Index>> pairs;
-    for (Index j = 0; j < ny; ++j)
-        for (Index i = 0; i < nx; ++i) {
-            const Index c = j * nx + i;
-            const Index n0 = j * (nx + 1) + i;
-            pairs.emplace_back(c, n0);
-            pairs.emplace_back(c, n0 + 1);
-            pairs.emplace_back(c, n0 + nx + 1);
-            pairs.emplace_back(c, n0 + nx + 2);
-        }
-    return bu::Csr::from_pairs(nx * ny, pairs);
-}
-
-} // namespace
-
-TEST(Coloring, GridColoringIsValidAndSmall) {
-    const auto cells = grid_cell_nodes(16, 16);
-    const Index n_nodes = 17 * 17;
-    const auto col = bp::greedy_color(cells, n_nodes);
-    EXPECT_TRUE(bp::coloring_is_valid(col, cells, n_nodes));
-    // A structured quad grid colours with exactly 4 colours.
-    EXPECT_LE(col.n_colors(), 8);
-    EXPECT_GE(col.n_colors(), 4);
-}
-
-TEST(Coloring, ClassesPartitionItems) {
-    const auto cells = grid_cell_nodes(8, 4);
-    const auto col = bp::greedy_color(cells, 9 * 5);
-    std::vector<int> seen(8 * 4, 0);
-    for (const auto& cls : col.classes)
-        for (const Index c : cls) seen[static_cast<std::size_t>(c)]++;
-    for (const int s : seen) EXPECT_EQ(s, 1);
-}
-
-class ColoringProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ColoringProperty, RandomHypergraphsColorValidly) {
-    bu::SplitMix64 rng(GetParam());
-    const Index n_items = static_cast<Index>(20 + rng.uniform_index(200));
-    const Index n_resources = static_cast<Index>(10 + rng.uniform_index(100));
-    std::vector<std::pair<Index, Index>> pairs;
-    for (Index i = 0; i < n_items; ++i) {
-        const int deg = 1 + static_cast<int>(rng.uniform_index(4));
-        for (int d = 0; d < deg; ++d)
-            pairs.emplace_back(
-                i, static_cast<Index>(rng.uniform_index(
-                       static_cast<std::uint64_t>(n_resources))));
-    }
-    const auto csr = bu::Csr::from_pairs(n_items, pairs);
-    const auto col = bp::greedy_color(csr, n_resources);
-    EXPECT_TRUE(bp::coloring_is_valid(col, csr, n_resources));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ColoringProperty,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
-
-TEST(Coloring, InvalidColoringDetected) {
-    const auto cells = grid_cell_nodes(4, 4);
-    auto col = bp::greedy_color(cells, 5 * 5);
-    // Corrupt: force two adjacent cells to the same colour.
-    col.color[1] = col.color[0];
-    EXPECT_FALSE(bp::coloring_is_valid(col, cells, 5 * 5));
 }

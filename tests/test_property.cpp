@@ -6,6 +6,7 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <ostream>
 
 #include "analytic/norms.hpp"
 #include "analytic/riemann.hpp"
@@ -36,6 +37,11 @@ struct ProblemCase {
     Real t_end;       ///< shortened for test speed
     bool conserves_energy; ///< false when a piston does work on the gas
 };
+
+/// gtest prints a parameter without a printer as its raw bytes, so the
+/// test names would carry the address of the name literal. Print the
+/// problem name instead, which keeps the names stable across builds.
+void PrintTo(const ProblemCase& c, std::ostream* os) { *os << c.name; }
 
 class ProblemInvariants : public ::testing::TestWithParam<ProblemCase> {};
 

@@ -242,6 +242,28 @@ TEST(ResilGuard, RegrowCeilingSurvivesCheckpointRoundTrip) {
     EXPECT_EQ(a.state().x, b.state().x);
 }
 
+TEST(ResilGuard, RegrowCeilingCapsGrowsThenClears) {
+    // The one ceiling definition both drivers apply to the controller dt:
+    // inactive at 0; while the controller exceeds it, dt is capped and
+    // the limit grows by regrow_cap; the first step the controller does
+    // not exceed it, the limit clears.
+    namespace bh = bookleaf::hydro;
+    Real dt = 5.0, limit = 0.0;
+    EXPECT_FALSE(bh::apply_regrow_ceiling(dt, limit, 1.5));
+    EXPECT_EQ(dt, 5.0);
+    EXPECT_EQ(limit, 0.0);
+
+    limit = 2.0;
+    EXPECT_TRUE(bh::apply_regrow_ceiling(dt, limit, 1.5));
+    EXPECT_EQ(dt, 2.0);
+    EXPECT_EQ(limit, 3.0);
+
+    dt = 3.0; // not above the limit: released unchanged
+    EXPECT_FALSE(bh::apply_regrow_ceiling(dt, limit, 1.5));
+    EXPECT_EQ(dt, 3.0);
+    EXPECT_EQ(limit, 0.0);
+}
+
 TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
     // The oversized-dt recovery in the distributed driver: the health
     // verdict is a collective min-reduction over owned entities and the
@@ -274,32 +296,25 @@ TEST(ResilRecovery, KillAtStepRecoversOnSurvivorsBitwise) {
     // The tentpole contract: a 4-rank run loses rank 2 mid-flight, rolls
     // back to the newest ring snapshot, resumes on 3 survivors — and the
     // gathered result is bitwise identical to the uninterrupted run,
-    // under every (overlap x packing) combination.
+    // under both overlap schedules.
     const auto p = sod_like(40, 2);
     const auto reference = run_dist(p, base_opts(4, 0.03));
 
     for (const bool overlap : {true, false}) {
-        for (const auto packing :
-             {bt::Packing::coalesced, bt::Packing::per_field}) {
-            auto opts = base_opts(4, 0.03);
-            opts.overlap = overlap;
-            opts.packing = packing;
-            opts.supervise.enabled = true;
-            opts.supervise.snapshot_every = 5;
-            opts.faults.kills.push_back({.rank = 2, .at_step = 12});
-            const auto r = run_dist(p, opts);
-            const std::string label =
-                std::string("overlap ") + (overlap ? "on" : "off") +
-                ", packing " +
-                (packing == bt::Packing::coalesced ? "coalesced"
-                                                   : "per_field");
-            ASSERT_EQ(r.recoveries.size(), 1u) << label;
-            EXPECT_EQ(r.recoveries[0].failed_rank, 2) << label;
-            EXPECT_EQ(r.recoveries[0].failed_step, 12) << label;
-            EXPECT_EQ(r.recoveries[0].survivors, 3) << label;
-            EXPECT_EQ(r.recoveries[0].resumed_step, 10) << label;
-            EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
-        }
+        auto opts = base_opts(4, 0.03);
+        opts.overlap = overlap;
+        opts.supervise.enabled = true;
+        opts.supervise.snapshot_every = 5;
+        opts.faults.kills.push_back({.rank = 2, .at_step = 12});
+        const auto r = run_dist(p, opts);
+        const std::string label =
+            std::string("overlap ") + (overlap ? "on" : "off");
+        ASSERT_EQ(r.recoveries.size(), 1u) << label;
+        EXPECT_EQ(r.recoveries[0].failed_rank, 2) << label;
+        EXPECT_EQ(r.recoveries[0].failed_step, 12) << label;
+        EXPECT_EQ(r.recoveries[0].survivors, 3) << label;
+        EXPECT_EQ(r.recoveries[0].resumed_step, 10) << label;
+        EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
     }
 }
 
