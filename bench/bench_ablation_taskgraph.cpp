@@ -22,6 +22,7 @@
 #include "par/thread_pool.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 using namespace bookleaf;
@@ -70,8 +71,8 @@ Sample run_once(const Rig& rig, par::ThreadPool* pool,
 
 } // namespace
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"json"});
     const Rig rigs[] = {{"sod (lagrange)", sod_lagrange, 60},
                         {"sod (eulerian)", sod_eulerian, 40},
                         {"noh (lagrange)", noh_lagrange, 40}};
@@ -125,4 +126,7 @@ int main(int argc, char** argv) {
                 all_bitwise ? "bitwise-identical across all configurations"
                             : "BITWISE MISMATCH");
     return all_bitwise ? 0 : 1;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "bench_ablation_taskgraph: error: %s\n", e.what());
+    return 1;
 }

@@ -21,6 +21,7 @@
 #include "perfmodel/paper_data.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf::perfmodel;
 using bookleaf::util::Kernel;
@@ -51,8 +52,8 @@ void figure(const char* title, Kernel kernel,
 
 } // namespace
 
-int main(int argc, char** argv) {
-    const bookleaf::util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const bookleaf::util::Cli cli(argc, argv, {"json"});
     figure("=== Figure 2a: viscosity calculation kernel (getq) ===",
            Kernel::getq, &PaperRow::viscosity);
     figure("=== Figure 2b: acceleration calculation kernel (getacc) ===",
@@ -152,4 +153,7 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const bookleaf::util::Error& e) {
+    std::fprintf(stderr, "bench_fig2_kernels: error: %s\n", e.what());
+    return 1;
 }

@@ -12,11 +12,12 @@
 #include "obs/json.hpp"
 #include "perfmodel/clustersim.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf::perfmodel;
 
-int main(int argc, char** argv) {
-    const bookleaf::util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const bookleaf::util::Cli cli(argc, argv, {"json"});
     std::printf("=== Figure 3: Sod strong scaling, overall time ===\n\n");
     const std::vector<int> nodes = {8, 16, 32, 64};
 
@@ -61,4 +62,7 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const bookleaf::util::Error& e) {
+    std::fprintf(stderr, "bench_fig3_strong_scaling: error: %s\n", e.what());
+    return 1;
 }

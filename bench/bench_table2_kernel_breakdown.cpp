@@ -19,13 +19,14 @@
 #include "perfmodel/calibrate.hpp"
 #include "perfmodel/paper_data.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 using namespace bookleaf::perfmodel;
 using util::Kernel;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"json"}, {"calibrated"});
 
     std::printf("=== Table I: experimental configurations ===\n");
     std::printf("%-18s %-48s %-22s %s\n", "Config", "Hardware", "System",
@@ -113,4 +114,7 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "bench_table2_kernel_breakdown: error: %s\n", e.what());
+    return 1;
 }

@@ -25,8 +25,13 @@
 using namespace bookleaf;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
     try {
+        const util::Cli cli(argc, argv,
+                            {"banner-every", "grain", "max_steps", "restart",
+                             "telemetry-live", "telemetry-report",
+                             "telemetry-trace", "telemetry-window", "threads",
+                             "vtk", "watchdog-factor"},
+                            {"telemetry-summary"});
         setup::Problem problem =
             cli.positional().empty()
                 ? setup::sod()

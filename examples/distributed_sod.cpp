@@ -59,11 +59,21 @@
 #include "part/partition.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv,
+                        {"delay-every", "delay-rank", "dump", "kill-rank",
+                         "kill-step", "mode", "nx", "overlap", "partitioner",
+                         "ranks", "restart", "ring-every", "save-at",
+                         "save-prefix", "schedule", "slow-all-us",
+                         "telemetry-live", "telemetry-report",
+                         "telemetry-trace", "telemetry-window", "threads",
+                         "tol", "watchdog-factor", "watchdog-grace-ms"},
+                        {"halt-after-save", "supervise", "telemetry-summary",
+                         "watchdog-escalate"});
     const int ranks = cli.get_int("ranks", 4);
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const auto partitioner = cli.get("partitioner", "rcb");
@@ -329,4 +339,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "distributed_sod: error: %s\n", e.what());
+    return 1;
 }

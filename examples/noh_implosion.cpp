@@ -14,11 +14,12 @@
 #include "io/vtk.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"n", "t_end", "threads", "vtk"});
     const auto n = static_cast<Index>(cli.get_int("n", 50));
     const Real t_end = cli.get_real("t_end", 0.6);
     const int threads = cli.get_int("threads", 1);
@@ -83,4 +84,7 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "noh_implosion: error: %s\n", e.what());
+    return 1;
 }

@@ -13,11 +13,12 @@
 #include "io/vtk.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"nx", "t_end", "vtk"});
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const Real t_end = cli.get_real("t_end", 0.2);
 
@@ -52,4 +53,7 @@ int main(int argc, char** argv) {
         std::printf("  wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "quickstart: error: %s\n", e.what());
+    return 1;
 }

@@ -16,11 +16,12 @@
 #include "io/vtk.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"control", "t_end", "vtk"});
     const auto control = cli.get("control", "subzonal");
     const Real t_end = cli.get_real("t_end", 0.6);
 
@@ -87,4 +88,7 @@ int main(int argc, char** argv) {
                     control.c_str());
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "saltzmann_piston: error: %s\n", e.what());
+    return 1;
 }

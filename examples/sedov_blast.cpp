@@ -15,6 +15,7 @@
 #include "io/vtk.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
@@ -40,8 +41,8 @@ Real shock_radius(const core::Hydro& h) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+int main(int argc, char** argv) try {
+    const util::Cli cli(argc, argv, {"n", "t_end", "vtk"});
     const auto n = static_cast<Index>(cli.get_int("n", 45));
     const Real t_end = cli.get_real("t_end", 1.0);
 
@@ -76,4 +77,7 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", path.c_str());
     }
     return 0;
+} catch (const util::Error& e) {
+    std::fprintf(stderr, "sedov_blast: error: %s\n", e.what());
+    return 1;
 }

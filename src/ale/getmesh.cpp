@@ -7,14 +7,17 @@
 /// volumes stay small and the donor-cell advection stays in its stable
 /// regime).
 ///
-/// The smoothing is a per-node *gather* over the cached node adjacency
-/// (rows ascending by node id): each pass reads only the previous pass's
-/// positions, so nodes are independent, and the neighbour sum order is
-/// the global-id order on every rank — the property the distributed
-/// remap's bitwise contract rests on. The ghost-aware overload calls the
-/// TargetSync hook after each pass (and after the clamp) to overwrite
-/// non-owned entries with their owners' values, since a fringe node's
-/// local adjacency row is incomplete.
+/// The smoothing is a per-node *gather* over a node adjacency whose rows
+/// are ascending by *global* node id: the distributed driver hands in
+/// part::Subdomain::smoothing_neighbours (ctx.smoothing_neighbours), the
+/// serial driver uses the adjacency cached from the global mesh's faces.
+/// Each pass reads only the previous pass's positions, so nodes are
+/// independent, and the neighbour sum order is the global-id order on
+/// every rank — the property the distributed remap's bitwise contract
+/// rests on. The ghost-aware overload calls the TargetSync hook after
+/// each pass (and after the clamp) to overwrite non-owned entries with
+/// their owners' values, since a fringe node's local adjacency row is
+/// incomplete.
 
 #include <algorithm>
 #include <cmath>
@@ -25,8 +28,12 @@ namespace bookleaf::ale {
 
 namespace {
 
-/// Build (lazily) the node -> edge-neighbour adjacency, rows ascending.
-const util::Csr& node_adjacency(const mesh::Mesh& mesh, Workspace& w) {
+/// The smoothing adjacency: ctx.smoothing_neighbours when the driver
+/// provides it, else the node -> edge-neighbour adjacency of the mesh,
+/// rows ascending by node id (built lazily).
+const util::Csr& node_adjacency(const hydro::Context& ctx, Workspace& w) {
+    if (ctx.smoothing_neighbours != nullptr) return *ctx.smoothing_neighbours;
+    const auto& mesh = *ctx.mesh;
     if (w.node_adj.n_rows() != mesh.n_nodes()) {
         std::vector<std::pair<Index, Index>> pairs;
         pairs.reserve(mesh.faces.size() * 2);
@@ -68,7 +75,7 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
     }
 
     // --- ALE: Jacobi smoothing toward the neighbour average -----------------
-    const auto& adj = node_adjacency(mesh, w);
+    const auto& adj = node_adjacency(ctx, w);
     for (int pass = 0; pass < opts.smoothing_passes; ++pass) {
         w.next_x.assign(w.xt.begin(), w.xt.end());
         w.next_y.assign(w.yt.begin(), w.yt.end());

@@ -78,11 +78,10 @@ struct Workspace {
     /// dual fluxes are not locally computable).
     std::vector<Real> dflux;
     /// Node -> edge-connected neighbours, each row ascending by node id
-    /// (built lazily from the mesh faces). Ascending order makes the
-    /// Jacobi average sum in global-id order on every rank: subdomain
-    /// node numbering is global-ascending, so local rows are the global
-    /// rows restricted — same contributions, same order, bitwise-equal
-    /// averages wherever the stencil is complete.
+    /// (built lazily from the mesh faces) — the Jacobi smoothing stencil
+    /// of a run without hydro::Context::smoothing_neighbours, i.e. the
+    /// serial driver, whose node ids are the global ones. Distributed
+    /// runs never read it: their local node ids are not in global order.
     util::Csr node_adj;
     std::vector<Real> next_x, next_y; ///< Jacobi pass scratch
 };

@@ -293,7 +293,8 @@ constexpr int live_tag = 502;
 /// Pack this rank's owned entities for the checkpoint gather: the
 /// snapshot's node fields (x, y, u, v, node_mass), cell fields (rho, ein,
 /// q, cell_mass) and corner field (cnmass), field-major, each field's
-/// owned items in ascending local (= ascending global) order.
+/// owned items in ascending local order (unpack_owned scatters them back
+/// through the subdomain's local -> global maps).
 std::vector<Real> pack_owned(const part::Subdomain& sub,
                              const hydro::State& s) {
     std::vector<Real> out;
@@ -839,8 +840,10 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
         ctx.exec = exec;
         ctx.profiler = &profiler;
         ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
-        // Corner gathers in serial deposition order (bitwise == serial).
+        // Corner gathers and the ALE smoothing average in serial order
+        // (bitwise == serial).
         ctx.assembly_corners = &sub.assembly_corners;
+        ctx.smoothing_neighbours = &sub.smoothing_neighbours;
 
         // Task-graph attribution sinks (telemetry only): the remap flux
         // graph appends per-task spans into graph_log; attribute_step

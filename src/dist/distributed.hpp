@@ -11,9 +11,10 @@
 /// Rank-count invariance is *bitwise*: every owned cell and every node of
 /// an owned cell sees the same input bytes as a serial run (ghost data
 /// comes from its owning rank), and every cross-entity reduction gathers
-/// in ascending global order (Subdomain::assembly_corners), so the
-/// gathered fields equal the serial core::Hydro run bit for bit at any
-/// rank count — Lagrange, ALE and Eulerian alike.
+/// in ascending global order (Subdomain::assembly_corners and
+/// Subdomain::smoothing_neighbours), so the gathered fields equal the
+/// serial core::Hydro run bit for bit at any rank count — Lagrange, ALE
+/// and Eulerian alike.
 
 #include <functional>
 #include <string>
@@ -193,8 +194,10 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      results {cell_mass, ein} and the dual-mesh results {cnmass,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
-/// ctx.assembly_corners must point at sub.assembly_corners (dist::run
-/// arranges this) so the nodal gathers sum in serial order.
+/// ctx.assembly_corners must point at sub.assembly_corners and, in ALE
+/// mode, ctx.smoothing_neighbours at sub.smoothing_neighbours (dist::run
+/// arranges both) so the nodal gathers and the smoothing average sum in
+/// serial order.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 

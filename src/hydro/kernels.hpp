@@ -49,6 +49,13 @@ struct Context {
     /// dist == serial contract. nullptr (the serial driver) means
     /// mesh->node_corners, whose rows are already in global order.
     const util::Csr* assembly_corners = nullptr;
+    /// Distributed runs: node -> edge-neighbour rows for the ALE Jacobi
+    /// smoothing average, each row ascending by *global* node id
+    /// (part::Subdomain::smoothing_neighbours), so the average sums in the
+    /// serial order. nullptr (the serial driver) means the adjacency
+    /// ale::alegetmesh builds from the mesh faces, rows ascending by node
+    /// id — the global order when the mesh is the global one.
+    const util::Csr* smoothing_neighbours = nullptr;
     /// Task-graph executor for the Lagrangian step, built by the owning
     /// driver when `exec.schedule == Schedule::taskgraph` applies (pool
     /// present). lagstep dispatches to it; nullptr (bare contexts, the

@@ -6,8 +6,9 @@
 ///   * threaded         — pool != nullptr (the OpenMP-analogue)
 /// for_each and reduce_min give bitwise-identical results at any pool
 /// width (loop bodies write disjoint slots; the min-reduction's result
-/// does not depend on the block split), and reduce_sum is repeatable at a
-/// given width (partials combine in block order). The acceleration
+/// does not depend on the block split). There is deliberately no
+/// threaded sum: its block partials would make the result depend on the
+/// pool width. The acceleration
 /// kernel's nodal assembly, the data dependency §IV-B names for the
 /// OpenMP port, is the race-free gather over the node->(cell, corner) CSR
 /// (hydro/getacc.cpp).
@@ -154,27 +155,6 @@ MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
         if (p.index != no_index && (best.index == no_index || p.value < best.value))
             best = p;
     return best;
-}
-
-/// Sum of value_of(i) over [0, n). Deterministic: partial sums are always
-/// combined in block order regardless of thread scheduling.
-template <typename ValueOf>
-Real reduce_sum(const Exec& ex, Index n, ValueOf&& value_of) {
-    auto serial = [&](Index begin, Index end) {
-        Real s = 0.0;
-        for (Index i = begin; i < end; ++i) s += value_of(i);
-        return s;
-    };
-    if (!ex.threaded() || n < 2) return serial(0, n);
-    const int parts = ex.pool->size();
-    std::vector<Real> partial(static_cast<std::size_t>(parts), 0.0);
-    ex.pool->run([&](int tid) {
-        const auto [begin, end] = detail::block(n, parts, tid);
-        partial[static_cast<std::size_t>(tid)] = serial(begin, end);
-    });
-    Real s = 0.0;
-    for (const Real p : partial) s += p;
-    return s;
 }
 
 } // namespace bookleaf::par

@@ -1,8 +1,7 @@
 #include "part/subdomain.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -28,6 +27,16 @@ Index n_union_sending_peers(const typhon::ExchangeSchedule& a,
                 std::find(ranks.begin(), ranks.end(), peer.rank) == ranks.end())
                 ranks.push_back(peer.rank);
     return static_cast<Index>(ranks.size());
+}
+
+/// Sort every row of `csr` in place by `less`.
+template <class Less>
+void sort_rows(util::Csr& csr, Less&& less) {
+    for (Index row = 0; row < csr.n_rows(); ++row)
+        std::sort(csr.items.begin() + csr.offsets[static_cast<std::size_t>(row)],
+                  csr.items.begin() +
+                      csr.offsets[static_cast<std::size_t>(row) + 1],
+                  less);
 }
 
 } // namespace
@@ -73,90 +82,121 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
 
     std::vector<Subdomain> subs(static_cast<std::size_t>(n_parts));
 
-    // Owned cell lists (ascending global id by construction).
-    std::vector<std::vector<Index>> owned(static_cast<std::size_t>(n_parts));
-    for (Index c = 0; c < n_cells; ++c)
-        owned[static_cast<std::size_t>(part[static_cast<std::size_t>(c)])]
-            .push_back(c);
-
-    // Global cell -> owner-local id (owned cells are numbered first).
+    // The send sides of the exchange schedules: global cell -> local id on
+    // its owning rank, global node -> local id on its owning rank.
     std::vector<Index> owner_local(static_cast<std::size_t>(n_cells));
-    for (int r = 0; r < n_parts; ++r)
-        for (std::size_t i = 0; i < owned[static_cast<std::size_t>(r)].size(); ++i)
-            owner_local[static_cast<std::size_t>(
-                owned[static_cast<std::size_t>(r)][i])] = static_cast<Index>(i);
+    std::vector<Index> owner_node_local(static_cast<std::size_t>(n_nodes));
+
+    // Flat scratch shared by all ranks: cell_mark[c] is the last rank that
+    // listed c as a local cell; node_g2l is the global -> local node map of
+    // the rank being built, reset to no_index after each rank.
+    std::vector<int> cell_mark(static_cast<std::size_t>(n_cells), -1);
+    std::vector<Index> node_g2l(static_cast<std::size_t>(n_nodes), no_index);
 
     for (int r = 0; r < n_parts; ++r) {
         auto& sub = subs[static_cast<std::size_t>(r)];
         sub.rank = r;
-        const auto& own = owned[static_cast<std::size_t>(r)];
-        sub.n_owned_cells = static_cast<Index>(own.size());
 
-        // Ghost layer: node-adjacent foreign cells.
-        std::vector<Index> ghosts;
-        {
-            std::vector<std::uint8_t> seen(static_cast<std::size_t>(n_cells), 0);
-            for (const Index c : own) seen[static_cast<std::size_t>(c)] = 1;
-            for (const Index c : own)
+        // Owned cells in breadth-first order over face neighbours inside
+        // the part, each component seeded at its lowest unvisited global
+        // id, a cell's neighbours visited in local-face order. The order
+        // depends only on the partition and the topology, so a
+        // re-decompose reproduces it exactly — and neighbouring cells get
+        // nearby local ids however the input mesh is numbered.
+        auto& cells = sub.local_cells;
+        for (Index seed = 0; seed < n_cells; ++seed) {
+            if (part[static_cast<std::size_t>(seed)] != r ||
+                cell_mark[static_cast<std::size_t>(seed)] == r)
+                continue;
+            cell_mark[static_cast<std::size_t>(seed)] = r;
+            std::size_t head = cells.size();
+            cells.push_back(seed);
+            for (; head < cells.size(); ++head)
                 for (int k = 0; k < corners_per_cell; ++k) {
-                    const Index node = global.cn(c, k);
-                    for (const Index adj : global.node_cells.row(node))
-                        if (!seen[static_cast<std::size_t>(adj)]) {
-                            seen[static_cast<std::size_t>(adj)] = 1;
-                            ghosts.push_back(adj);
-                        }
+                    const Index nb = global.neighbor(cells[head], k);
+                    if (nb == no_index ||
+                        part[static_cast<std::size_t>(nb)] != r ||
+                        cell_mark[static_cast<std::size_t>(nb)] == r)
+                        continue;
+                    cell_mark[static_cast<std::size_t>(nb)] = r;
+                    cells.push_back(nb);
                 }
         }
+        sub.n_owned_cells = static_cast<Index>(cells.size());
+        for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
+            owner_local[static_cast<std::size_t>(
+                cells[static_cast<std::size_t>(lc)])] = lc;
+
+        // Ghost layer: node-adjacent foreign cells, ordered by (owner,
+        // global id) so each peer's schedule pairs items in global order.
+        std::vector<Index> ghosts;
+        for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
+            for (int k = 0; k < corners_per_cell; ++k) {
+                const Index node =
+                    global.cn(cells[static_cast<std::size_t>(lc)], k);
+                for (const Index adj : global.node_cells.row(node))
+                    if (cell_mark[static_cast<std::size_t>(adj)] != r) {
+                        cell_mark[static_cast<std::size_t>(adj)] = r;
+                        ghosts.push_back(adj);
+                    }
+            }
         std::sort(ghosts.begin(), ghosts.end(),
                   [&](Index a, Index b) {
                       const Index pa = part[static_cast<std::size_t>(a)];
                       const Index pb = part[static_cast<std::size_t>(b)];
                       return pa != pb ? pa < pb : a < b;
                   });
+        cells.insert(cells.end(), ghosts.begin(), ghosts.end());
 
-        sub.local_cells = own;
-        sub.local_cells.insert(sub.local_cells.end(), ghosts.begin(),
-                               ghosts.end());
-
-        // Local nodes: union of the local cells' nodes, sorted by global id.
-        {
-            std::vector<Index> nodes;
-            nodes.reserve(sub.local_cells.size() * corners_per_cell);
-            for (const Index c : sub.local_cells)
-                for (int k = 0; k < corners_per_cell; ++k)
-                    nodes.push_back(global.cn(c, k));
-            std::sort(nodes.begin(), nodes.end());
-            nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-            sub.local_nodes = std::move(nodes);
-        }
-
-        std::unordered_map<Index, Index> node_g2l;
-        node_g2l.reserve(sub.local_nodes.size());
-        for (std::size_t i = 0; i < sub.local_nodes.size(); ++i)
-            node_g2l.emplace(sub.local_nodes[i], static_cast<Index>(i));
-
-        // Local mesh.
+        // Local nodes in first-touch order over the local cells, and the
+        // local mesh's cell -> node table with them.
         auto& lm = sub.local;
-        lm.x.resize(sub.local_nodes.size());
-        lm.y.resize(sub.local_nodes.size());
-        lm.node_bc.resize(sub.local_nodes.size());
-        sub.node_owned.resize(sub.local_nodes.size());
-        for (std::size_t i = 0; i < sub.local_nodes.size(); ++i) {
+        lm.cell_nodes.reserve(cells.size() * corners_per_cell);
+        lm.cell_region.reserve(cells.size());
+        for (const Index c : cells) {
+            for (int k = 0; k < corners_per_cell; ++k) {
+                const auto g = static_cast<std::size_t>(global.cn(c, k));
+                if (node_g2l[g] == no_index) {
+                    node_g2l[g] = static_cast<Index>(sub.local_nodes.size());
+                    sub.local_nodes.push_back(static_cast<Index>(g));
+                }
+                lm.cell_nodes.push_back(node_g2l[g]);
+            }
+            lm.cell_region.push_back(
+                global.cell_region[static_cast<std::size_t>(c)]);
+        }
+        for (const Index g : sub.local_nodes)
+            node_g2l[static_cast<std::size_t>(g)] = no_index;
+
+        const std::size_t nn = sub.local_nodes.size();
+        lm.x.resize(nn);
+        lm.y.resize(nn);
+        lm.node_bc.resize(nn);
+        sub.node_owned.resize(nn);
+        for (std::size_t i = 0; i < nn; ++i) {
             const auto g = static_cast<std::size_t>(sub.local_nodes[i]);
             lm.x[i] = global.x[g];
             lm.y[i] = global.y[g];
             lm.node_bc[i] = global.node_bc[g];
             sub.node_owned[i] = node_owner[g] == r ? 1 : 0;
-        }
-        lm.cell_nodes.reserve(sub.local_cells.size() * corners_per_cell);
-        lm.cell_region.reserve(sub.local_cells.size());
-        for (const Index c : sub.local_cells) {
-            for (int k = 0; k < corners_per_cell; ++k)
-                lm.cell_nodes.push_back(node_g2l.at(global.cn(c, k)));
-            lm.cell_region.push_back(
-                global.cell_region[static_cast<std::size_t>(c)]);
+            if (sub.node_owned[i]) owner_node_local[g] = static_cast<Index>(i);
         }
         mesh::build_connectivity(lm);
+
+        // Orient each interior face as the global mesh does: its left cell
+        // is the one with the lower *global* id. The swept volume and the
+        // face fluxes are evaluated left -> right, and the reversed
+        // shoelace is the negation only up to round-off, so a face oriented
+        // by local ids would make the remap differ from serial in the last
+        // bits on an irregular mesh.
+        for (auto& f : lm.faces)
+            if (f.right != no_index &&
+                cells[static_cast<std::size_t>(f.right)] <
+                    cells[static_cast<std::size_t>(f.left)]) {
+                std::swap(f.left, f.right);
+                std::swap(f.k_left, f.k_right);
+                std::swap(f.a, f.b);
+            }
 
         // --- boundary/interior overlap sets --------------------------------
         // Nodes incident to a ghost cell: their assembly needs exchanged
@@ -226,33 +266,38 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
                 sub.remap_nodes.push_back(ln);
         }
 
-        // Corner gather CSR in *global* deposition order: local numbering
-        // is owned-first, so a boundary node's local node_corners row
-        // visits its corners in a different order than the global mesh;
-        // re-sorting each row by global flat corner id makes every
+        // Corner gather CSR in *global* deposition order: the local cell
+        // numbering is not the global one, so a node's local node_corners
+        // row visits its corners in a different order than the global
+        // mesh; re-sorting each row by global flat corner id makes every
         // corner->node gather sum in exactly the serial order (the bitwise
         // dist == serial contract). Entries stay local flat ids.
+        const auto global_corner = [&](Index lk) {
+            return sub.local_cells[static_cast<std::size_t>(
+                       lk / corners_per_cell)] * corners_per_cell +
+                   lk % corners_per_cell;
+        };
         sub.assembly_corners = lm.node_corners;
-        for (Index ln = 0; ln < n_local_nodes; ++ln) {
-            const auto lo = static_cast<std::size_t>(
-                sub.assembly_corners.offsets[static_cast<std::size_t>(ln)]);
-            const auto hi = static_cast<std::size_t>(
-                sub.assembly_corners.offsets[static_cast<std::size_t>(ln) + 1]);
-            std::sort(sub.assembly_corners.items.begin() +
-                          static_cast<std::ptrdiff_t>(lo),
-                      sub.assembly_corners.items.begin() +
-                          static_cast<std::ptrdiff_t>(hi),
-                      [&](Index a, Index b) {
-                          const Index ga =
-                              sub.local_cells[static_cast<std::size_t>(
-                                  a / corners_per_cell)] * corners_per_cell +
-                              a % corners_per_cell;
-                          const Index gb =
-                              sub.local_cells[static_cast<std::size_t>(
-                                  b / corners_per_cell)] * corners_per_cell +
-                              b % corners_per_cell;
-                          return ga < gb;
-                      });
+        sort_rows(sub.assembly_corners, [&](Index a, Index b) {
+            return global_corner(a) < global_corner(b);
+        });
+
+        // Node -> edge neighbours for the ALE Jacobi average, each row
+        // ascending by *global* node id: the serial row order, so the
+        // neighbour sum at every stencil-complete node is bitwise serial.
+        {
+            std::vector<std::pair<Index, Index>> pairs;
+            pairs.reserve(lm.faces.size() * 2);
+            for (const auto& f : lm.faces) {
+                pairs.emplace_back(f.a, f.b);
+                pairs.emplace_back(f.b, f.a);
+            }
+            sub.smoothing_neighbours =
+                util::Csr::from_pairs(n_local_nodes, pairs);
+            sort_rows(sub.smoothing_neighbours, [&](Index a, Index b) {
+                return sub.local_nodes[static_cast<std::size_t>(a)] <
+                       sub.local_nodes[static_cast<std::size_t>(b)];
+            });
         }
     }
 
@@ -261,13 +306,6 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
     // cell id (the ghost list is already (owner, id)-sorted).
     for (int r = 0; r < n_parts; ++r) {
         auto& sub = subs[static_cast<std::size_t>(r)];
-        std::map<int, std::vector<std::pair<Index, Index>>> by_owner; // owner -> (global, local)
-        for (Index lc = sub.n_owned_cells;
-             lc < static_cast<Index>(sub.local_cells.size()); ++lc) {
-            const Index gc = sub.local_cells[static_cast<std::size_t>(lc)];
-            by_owner[static_cast<int>(part[static_cast<std::size_t>(gc)])]
-                .emplace_back(gc, lc);
-        }
         // A ghost is *face-adjacent* when it shares a face with an owned
         // cell — the only ghosts whose gradients any owned face flux reads.
         const auto face_adjacent = [&](Index lc) {
@@ -277,8 +315,14 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
             }
             return false;
         };
-        for (auto& [o, items] : by_owner) {
-            // items already sorted by global id (ghost ordering).
+        const auto n_local = static_cast<Index>(sub.local_cells.size());
+        const auto owner_of = [&](Index lc) {
+            return static_cast<int>(part[static_cast<std::size_t>(
+                sub.local_cells[static_cast<std::size_t>(lc)])]);
+        };
+        for (Index lo = sub.n_owned_cells, hi = lo; lo < n_local; lo = hi) {
+            const int o = owner_of(lo);
+            while (hi < n_local && owner_of(hi) == o) ++hi;
             typhon::ExchangeSchedule::Peer recv_peer;
             recv_peer.rank = o;
             typhon::ExchangeSchedule::Peer send_peer;
@@ -291,9 +335,10 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
             recv_grad.rank = o;
             typhon::ExchangeSchedule::Peer send_grad;
             send_grad.rank = r;
-            for (const auto& [gc, lc] : items) {
+            for (Index lc = lo; lc < hi; ++lc) {
                 recv_peer.recv_items.push_back(lc);
-                const Index ol = owner_local[static_cast<std::size_t>(gc)];
+                const Index ol = owner_local[static_cast<std::size_t>(
+                    sub.local_cells[static_cast<std::size_t>(lc)])];
                 send_peer.send_items.push_back(ol);
                 for (int k = 0; k < corners_per_cell; ++k) {
                     recv_corner.recv_items.push_back(lc * corners_per_cell + k);
@@ -328,41 +373,37 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
 
     // Node schedule: ghost nodes of r receive from their owner o. Both
     // sides ordered by global node id.
-    {
-        // Per-rank local node lookup.
-        std::vector<std::unordered_map<Index, Index>> g2l(
-            static_cast<std::size_t>(n_parts));
-        for (int r = 0; r < n_parts; ++r) {
-            auto& m = g2l[static_cast<std::size_t>(r)];
-            const auto& ln = subs[static_cast<std::size_t>(r)].local_nodes;
-            m.reserve(ln.size());
-            for (std::size_t i = 0; i < ln.size(); ++i)
-                m.emplace(ln[i], static_cast<Index>(i));
-        }
-        for (int r = 0; r < n_parts; ++r) {
-            auto& sub = subs[static_cast<std::size_t>(r)];
-            std::map<int, std::vector<Index>> by_owner; // owner -> global node
-            for (std::size_t i = 0; i < sub.local_nodes.size(); ++i) {
+    for (int r = 0; r < n_parts; ++r) {
+        auto& sub = subs[static_cast<std::size_t>(r)];
+        struct GhostNode {
+            Index owner, global, local;
+        };
+        std::vector<GhostNode> ghosts;
+        for (std::size_t i = 0; i < sub.local_nodes.size(); ++i)
+            if (!sub.node_owned[i]) {
                 const Index gn = sub.local_nodes[i];
-                const auto o = static_cast<int>(
-                    node_owner[static_cast<std::size_t>(gn)]);
-                if (o != r) by_owner[o].push_back(gn);
+                ghosts.push_back({node_owner[static_cast<std::size_t>(gn)], gn,
+                                  static_cast<Index>(i)});
             }
-            for (auto& [o, nodes] : by_owner) {
-                typhon::ExchangeSchedule::Peer recv_peer;
-                recv_peer.rank = o;
-                typhon::ExchangeSchedule::Peer send_peer;
-                send_peer.rank = r;
-                for (const Index gn : nodes) {
-                    recv_peer.recv_items.push_back(
-                        g2l[static_cast<std::size_t>(r)].at(gn));
-                    send_peer.send_items.push_back(
-                        g2l[static_cast<std::size_t>(o)].at(gn));
-                }
-                sub.node_schedule.peers.push_back(std::move(recv_peer));
-                subs[static_cast<std::size_t>(o)].node_schedule.peers.push_back(
-                    std::move(send_peer));
+        std::sort(ghosts.begin(), ghosts.end(),
+                  [](const GhostNode& a, const GhostNode& b) {
+                      return a.owner != b.owner ? a.owner < b.owner
+                                                : a.global < b.global;
+                  });
+        for (std::size_t lo = 0, hi = 0; lo < ghosts.size(); lo = hi) {
+            const auto o = static_cast<int>(ghosts[lo].owner);
+            typhon::ExchangeSchedule::Peer recv_peer;
+            recv_peer.rank = o;
+            typhon::ExchangeSchedule::Peer send_peer;
+            send_peer.rank = r;
+            for (; hi < ghosts.size() && ghosts[hi].owner == o; ++hi) {
+                recv_peer.recv_items.push_back(ghosts[hi].local);
+                send_peer.send_items.push_back(owner_node_local[
+                    static_cast<std::size_t>(ghosts[hi].global)]);
             }
+            sub.node_schedule.peers.push_back(std::move(recv_peer));
+            subs[static_cast<std::size_t>(o)].node_schedule.peers.push_back(
+                std::move(send_peer));
         }
     }
 

@@ -65,14 +65,20 @@ struct Subdomain {
     /// pre-step halo refreshes.
     std::vector<Index> remap_nodes;
     /// node -> (cell, corner) gather CSR with each row permuted to
-    /// ascending *global* flat corner id. Local cell numbering is
-    /// owned-first, so the local mesh's node_corners rows visit a
-    /// boundary node's corners in a different order than the global mesh
+    /// ascending *global* flat corner id. The local numbering is not the
+    /// global one (see decompose), so the local mesh's node_corners rows
+    /// visit a node's corners in a different order than the global mesh
     /// — summing in that order would make nodal assembly differ from the
     /// serial run in round-off. hydro::Context::assembly_corners points
     /// here in distributed runs, making the corner->node gathers (getacc
     /// and the dual-mesh remap) bitwise identical to serial.
     util::Csr assembly_corners;
+    /// node -> edge-connected neighbour nodes, each row ascending by
+    /// *global* node id (entries are local ids): the serial row order of
+    /// the ALE Jacobi smoothing average. hydro::Context::smoothing_neighbours
+    /// points here in distributed runs, so the average at every
+    /// stencil-complete node sums in the serial order.
+    util::Csr smoothing_neighbours;
 
     // --- halo/compute overlap sets (local ids, ascending) -----------------
     // boundary_cells / interior_cells partition all local cells. A cell is
@@ -127,6 +133,18 @@ struct Subdomain {
 /// Split the global mesh into n_parts subdomains. `part[c]` is the rank
 /// owning global cell c. Node ownership: the minimum rank among the parts
 /// of the node's incident cells.
+///
+/// Local numbering is cache-local and independent of the input's global
+/// numbering beyond tie-breaks: owned cells are numbered breadth-first
+/// over face neighbours inside the part (each component seeded at its
+/// lowest unvisited global id, neighbours in local-face order); ghost
+/// cells follow, sorted by (owner, global id); local nodes are numbered
+/// in first-touch order over the local cells. The numbering depends only
+/// on the partition and the mesh topology, so re-decomposing reproduces
+/// it. Every order-sensitive sum reads a global-ordered row instead
+/// (assembly_corners, smoothing_neighbours), every interior face keeps
+/// the global mesh's orientation (left = lower global cell id), and every
+/// exchange schedule pairs items in ascending global id.
 [[nodiscard]] std::vector<Subdomain> decompose(const mesh::Mesh& global,
                                                const std::vector<Index>& part,
                                                int n_parts);

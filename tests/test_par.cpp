@@ -191,21 +191,3 @@ TEST(Exec, ReduceMinFirstOfTies) {
     });
     EXPECT_EQ(r.index, 1);
 }
-
-TEST(Exec, ReduceSumDeterministicAcrossWidths) {
-    bu::SplitMix64 rng(23);
-    std::vector<Real> v(4096);
-    for (auto& x : v) x = rng.uniform(0.0, 1.0);
-    const bp::Exec serial;
-    const Real ref = bp::reduce_sum(serial, static_cast<Index>(v.size()),
-                                    [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    bp::ThreadPool pool(4);
-    bp::Exec threaded;
-    threaded.pool = &pool;
-    const Real a = bp::reduce_sum(threaded, static_cast<Index>(v.size()),
-                                  [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    const Real b = bp::reduce_sum(threaded, static_cast<Index>(v.size()),
-                                  [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    EXPECT_DOUBLE_EQ(a, b);          // repeatable under the same width
-    EXPECT_NEAR(a, ref, 1e-12 * ref); // and consistent with serial
-}

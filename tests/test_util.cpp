@@ -43,21 +43,21 @@ TEST(Csr, EmptyCsrHasZeroRows) {
 
 TEST(Cli, ParsesKeyEqualsValue) {
     const char* argv[] = {"prog", "--nx=128", "--problem=sod"};
-    const bu::Cli cli(3, argv);
+    const bu::Cli cli(3, argv, {"nx", "problem"});
     EXPECT_EQ(cli.get_int("nx", 0), 128);
     EXPECT_EQ(cli.get("problem", ""), "sod");
 }
 
 TEST(Cli, ParsesKeySpaceValue) {
     const char* argv[] = {"prog", "--steps", "50", "--cfl", "0.25"};
-    const bu::Cli cli(5, argv);
+    const bu::Cli cli(5, argv, {"steps", "cfl"});
     EXPECT_EQ(cli.get_int("steps", 0), 50);
     EXPECT_DOUBLE_EQ(cli.get_real("cfl", 0.0), 0.25);
 }
 
 TEST(Cli, BareFlagAndPositional) {
     const char* argv[] = {"prog", "input.deck", "--verbose", "--out=x"};
-    const bu::Cli cli(4, argv);
+    const bu::Cli cli(4, argv, {"verbose", "quiet", "out"});
     EXPECT_TRUE(cli.has("verbose"));
     EXPECT_FALSE(cli.has("quiet"));
     ASSERT_EQ(cli.positional().size(), 1u);
@@ -66,10 +66,70 @@ TEST(Cli, BareFlagAndPositional) {
 
 TEST(Cli, FallbacksWhenMissing) {
     const char* argv[] = {"prog"};
-    const bu::Cli cli(1, argv);
+    const bu::Cli cli(1, argv, {"nx", "cfl", "problem"});
     EXPECT_EQ(cli.get_int("nx", 42), 42);
     EXPECT_DOUBLE_EQ(cli.get_real("cfl", 0.5), 0.5);
     EXPECT_EQ(cli.get("problem", "noh"), "noh");
+}
+
+TEST(Cli, RejectsUndeclaredFlags) {
+    // A removed or misspelt option must fail loudly, in every spelling.
+    for (const char* arg : {"--assembly=serial", "--assembly", "--thread"}) {
+        const char* argv[] = {"prog", "deck.in", arg, "2"};
+        try {
+            const bu::Cli cli(4, argv, {"threads", "vtk"});
+            ADD_FAILURE() << arg << " was accepted";
+        } catch (const bu::Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("unknown flag --"), std::string::npos) << what;
+            EXPECT_NE(what.find("--threads --vtk"), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+    const char* argv[] = {"prog", "--ranks", "abc", "--nx=12x", "--empty",
+                          "--frac", "1.5", "--big", "99999999999",
+                          "--tol", "1e-3oops"};
+    const bu::Cli cli(11, argv, {"ranks", "nx", "empty", "frac", "big", "tol"});
+    for (const char* key : {"ranks", "nx", "empty", "frac", "big"})
+        EXPECT_THROW((void)cli.get_int(key, 0), bu::Error) << key;
+    for (const char* key : {"tol", "nx", "empty"})
+        EXPECT_THROW((void)cli.get_real(key, 0.0), bu::Error) << key;
+    EXPECT_DOUBLE_EQ(cli.get_real("frac", 0.0), 1.5);
+    EXPECT_EQ(cli.get("ranks", ""), "abc"); // strings are taken as given
+}
+
+TEST(Cli, ParsesSignedAndExponentNumbers) {
+    const char* argv[] = {"prog", "--shift=-3", "--tol", "1e-8",
+                          "--scale=-2.5E2"};
+    const bu::Cli cli(5, argv, {"shift", "tol", "scale"});
+    EXPECT_EQ(cli.get_int("shift", 0), -3);
+    EXPECT_DOUBLE_EQ(cli.get_real("tol", 0.0), 1e-8);
+    EXPECT_DOUBLE_EQ(cli.get_real("scale", 0.0), -250.0);
+}
+
+TEST(Cli, SwitchesNeverTakeTheNextArgument) {
+    // A switch before the positional deck must not swallow it as a value.
+    const char* argv[] = {"prog", "--summary", "deck.in", "--n", "3"};
+    const bu::Cli cli(5, argv, {"n"}, {"summary"});
+    EXPECT_TRUE(cli.has("summary"));
+    ASSERT_EQ(cli.positional().size(), 1u);
+    EXPECT_EQ(cli.positional()[0], "deck.in");
+    EXPECT_EQ(cli.get_int("n", 0), 3);
+
+    const char* valued[] = {"prog", "--summary=yes"};
+    EXPECT_THROW(bu::Cli(2, valued, {"n"}, {"summary"}), bu::Error);
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagThrows) {
+    // A program reading a flag it never declared is a bug in the program;
+    // it fails even when the flag is absent from the command line.
+    const char* argv[] = {"prog"};
+    const bu::Cli cli(1, argv, {"nx"});
+    EXPECT_THROW((void)cli.has("ny"), bu::Error);
+    EXPECT_THROW((void)cli.get_int("ny", 1), bu::Error);
+    EXPECT_EQ(cli.get_int("nx", 7), 7);
 }
 
 TEST(Random, DeterministicForSeed) {
