@@ -1,16 +1,18 @@
 /// \file bench_ablation_overlap.cpp
-/// Ablation for the distributed driver's halo/compute *overlap*: the same
-/// Sod and Noh rigs run through the blocking two-exchange schedule (the
-/// paper's) and the nonblocking request-based schedule that hides both
-/// halos (and the dt reduce) behind interior kernels. Reports wall time,
-/// the per-rank time charged to the halo kernel (the overlapped
-/// schedule's halo bucket only pays packing/posting plus whatever wait
-/// the interior work could not hide), and the per-step message count and
-/// mean bytes per message, checked against the schedule metadata
+/// Ablation for the distributed driver's halo/compute *overlap*
+/// (dist::Options::overlap): the same Sod and Noh rigs run through the
+/// rank's one Lagrangian step twice — with an empty early split, so each
+/// exchange finishes before the work after it (the paper's blocking
+/// order), and with the subdomain interior as the early split, computed
+/// while both halos (and the dt reduce) are in flight. Reports wall time,
+/// the per-rank time charged to the halo kernel (the overlapped run's
+/// halo bucket only pays packing/posting plus whatever wait the interior
+/// work could not hide), and the per-step message count and mean bytes
+/// per message, checked against the schedule metadata
 /// (part::Subdomain::messages_per_step: one coalesced message per peer
 /// per exchange).
 ///
-/// Both schedules are verified against the bitwise-identity contract.
+/// Both runs are verified against the bitwise-identity contract.
 
 #include <cmath>
 #include <cstdio>
@@ -108,10 +110,10 @@ int main() {
     std::printf("=== Ablation: halo/compute overlap in the distributed "
                 "driver ===\n\n");
     std::printf(
-        "Both schedules move the same ghost bytes, one coalesced message\n"
-        "per peer per exchange. Overlap posts each exchange (and the dt\n"
-        "min-reduce) through typhon's request layer and runs interior\n"
-        "cells while the messages fly.\n\n");
+        "Both runs take the same step and move the same ghost bytes, one\n"
+        "coalesced message per peer per exchange. Overlap runs the\n"
+        "interior cells and nodes while the messages fly; blocking runs\n"
+        "nothing until each exchange finishes.\n\n");
     rig("Sod 200x4", setup::sod(200, 4), 0.2);
     rig("Noh 64x64", setup::noh(64), 0.3);
     return 0;

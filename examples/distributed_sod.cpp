@@ -4,9 +4,10 @@
 /// each rank runs the kernel sequence with the paper's two halo
 /// exchanges per step and one global dt reduction, and the gathered
 /// result is compared against a serial run. By default the halo
-/// exchanges overlap with interior kernels (nonblocking typhon); the
-/// blocking schedule is kept as an ablation and the two are checked to
-/// be bitwise identical.
+/// exchanges overlap with interior kernels (nonblocking typhon);
+/// `--overlap off` runs the same step with nothing overlapped (the
+/// paper's blocking order) as an ablation, and the two are checked to be
+/// bitwise identical.
 ///
 ///   ./distributed_sod [--ranks 4] [--nx 100] [--partitioner rcb|multilevel]
 ///                     [--overlap on|off]

@@ -51,8 +51,8 @@ struct Options {
 
 /// Remap cadence: whether the Lagrangian step with 0-based index `step`
 /// is followed by a remap. Eulerian remaps every step, ALE every
-/// `frequency` steps (counted 1-based), Lagrange never. The single
-/// definition both drivers use, so their cadence cannot drift.
+/// `frequency` steps (counted 1-based), Lagrange never. Evaluated only by
+/// core::Stepper, the step loop both drivers share.
 [[nodiscard]] inline bool remap_due(const Options& opts, int step) {
     return opts.mode == Mode::eulerian ||
            (opts.mode == Mode::ale && (step + 1) % opts.frequency == 0);

@@ -17,29 +17,6 @@ namespace {
 constexpr std::array<char, 8> magic = {'B', 'L', 'F', 'C', 'K', 'P', 'T', '\n'};
 constexpr std::size_t field_name_bytes = 12;
 
-/// The serialized fields, in file order. Kind selects the entity space the
-/// count is validated against.
-enum class Kind : std::uint8_t { node, cell, corner };
-
-struct FieldRef {
-    const char* name;
-    Kind kind;
-    std::vector<Real> Snapshot::* member;
-};
-
-constexpr std::array<FieldRef, 10> fields = {{
-    {"x", Kind::node, &Snapshot::x},
-    {"y", Kind::node, &Snapshot::y},
-    {"u", Kind::node, &Snapshot::u},
-    {"v", Kind::node, &Snapshot::v},
-    {"node_mass", Kind::node, &Snapshot::node_mass},
-    {"rho", Kind::cell, &Snapshot::rho},
-    {"ein", Kind::cell, &Snapshot::ein},
-    {"q", Kind::cell, &Snapshot::q},
-    {"cell_mass", Kind::cell, &Snapshot::cell_mass},
-    {"cnmass", Kind::corner, &Snapshot::cnmass},
-}};
-
 template <typename T>
 void put(std::ostream& out, const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -59,13 +36,9 @@ T get(std::istream& in, const std::string& path, const char* what) {
 
 std::size_t expected_count(Kind kind, std::int64_t n_nodes,
                            std::int64_t n_cells) {
-    switch (kind) {
-    case Kind::node: return static_cast<std::size_t>(n_nodes);
-    case Kind::cell: return static_cast<std::size_t>(n_cells);
-    case Kind::corner:
-        return static_cast<std::size_t>(n_cells) * corners_per_cell;
-    }
-    return 0;
+    return kind == Kind::node ? static_cast<std::size_t>(n_nodes)
+                              : static_cast<std::size_t>(n_cells) *
+                                    per_cell(kind);
 }
 
 } // namespace
@@ -254,16 +227,8 @@ Snapshot capture(const mesh::Mesh& mesh, const hydro::State& s, Real t,
     snap.t = t;
     snap.dt = dt;
     snap.regrow = regrow;
-    snap.x.assign(s.x.begin(), s.x.end());
-    snap.y.assign(s.y.begin(), s.y.end());
-    snap.u.assign(s.u.begin(), s.u.end());
-    snap.v.assign(s.v.begin(), s.v.end());
-    snap.node_mass.assign(s.node_mass.begin(), s.node_mass.end());
-    snap.rho.assign(s.rho.begin(), s.rho.end());
-    snap.ein.assign(s.ein.begin(), s.ein.end());
-    snap.q.assign(s.q.begin(), s.q.end());
-    snap.cell_mass.assign(s.cell_mass.begin(), s.cell_mass.end());
-    snap.cnmass.assign(s.cnmass.begin(), s.cnmass.end());
+    for (const auto& f : fields)
+        (snap.*f.member).assign((s.*f.state).begin(), (s.*f.state).end());
     return snap;
 }
 
@@ -284,24 +249,13 @@ void restore(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
     util::require(snapshot.n_nodes() == mesh.n_nodes() &&
                       snapshot.n_cells() == mesh.n_cells(),
                   "ckpt: snapshot entity counts disagree with the mesh");
-    s.x.assign(snapshot.x.begin(), snapshot.x.end());
-    s.y.assign(snapshot.y.begin(), snapshot.y.end());
-    s.u.assign(snapshot.u.begin(), snapshot.u.end());
-    s.v.assign(snapshot.v.begin(), snapshot.v.end());
-    s.node_mass.assign(snapshot.node_mass.begin(), snapshot.node_mass.end());
-    s.rho.assign(snapshot.rho.begin(), snapshot.rho.end());
-    s.ein.assign(snapshot.ein.begin(), snapshot.ein.end());
-    s.q.assign(snapshot.q.begin(), snapshot.q.end());
-    s.cell_mass.assign(snapshot.cell_mass.begin(), snapshot.cell_mass.end());
-    s.cnmass.assign(snapshot.cnmass.begin(), snapshot.cnmass.end());
+    for (const auto& f : fields)
+        (s.*f.state).assign((snapshot.*f.member).begin(),
+                            (snapshot.*f.member).end());
     rebuild_derived(mesh, materials, s);
     // Seed the step-start scratch as initialise does; every step rewrites
     // these before reading them.
-    s.x0 = s.x;
-    s.y0 = s.y;
-    s.u0 = s.u;
-    s.v0 = s.v;
-    s.ein0 = s.ein;
+    s.snapshot_step_start();
 }
 
 } // namespace bookleaf::ckpt

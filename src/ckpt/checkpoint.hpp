@@ -42,6 +42,7 @@
 /// flush, so a crash mid-write can never leave a truncated file where
 /// snapshot discovery or `restart_from` would pick it up.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,6 +83,40 @@ struct Snapshot {
         return static_cast<Index>(rho.size());
     }
 };
+
+/// Entity space of a checkpointed field.
+enum class Kind : std::uint8_t { node, cell, corner };
+
+/// One checkpointed field: its on-disk name, its entity space, and where
+/// it lives in a Snapshot and in a hydro::State.
+struct FieldRef {
+    const char* name;
+    Kind kind;
+    std::vector<Real> Snapshot::* member;
+    hydro::Field hydro::State::* state;
+};
+
+/// The checkpointed fields, in file order: the one list that the file
+/// format, capture/restore and the distributed gather all walk.
+inline constexpr std::array<FieldRef, 10> fields = {{
+    {"x", Kind::node, &Snapshot::x, &hydro::State::x},
+    {"y", Kind::node, &Snapshot::y, &hydro::State::y},
+    {"u", Kind::node, &Snapshot::u, &hydro::State::u},
+    {"v", Kind::node, &Snapshot::v, &hydro::State::v},
+    {"node_mass", Kind::node, &Snapshot::node_mass, &hydro::State::node_mass},
+    {"rho", Kind::cell, &Snapshot::rho, &hydro::State::rho},
+    {"ein", Kind::cell, &Snapshot::ein, &hydro::State::ein},
+    {"q", Kind::cell, &Snapshot::q, &hydro::State::q},
+    {"cell_mass", Kind::cell, &Snapshot::cell_mass, &hydro::State::cell_mass},
+    {"cnmass", Kind::corner, &Snapshot::cnmass, &hydro::State::cnmass},
+}};
+
+/// Items of one entity kind per cell (1, or corners_per_cell for corners);
+/// node fields have none.
+[[nodiscard]] constexpr std::size_t per_cell(Kind kind) {
+    return kind == Kind::corner ? corners_per_cell
+                                : (kind == Kind::cell ? 1 : 0);
+}
 
 /// Checkpoint cadence and restart configuration (deck section
 /// `[checkpoint]`). Checkpoints are written after a *completed natural

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/critical_path.hpp"
 #include "perfmodel/calibrate.hpp"
 #include "util/csr.hpp"
 #include "util/log.hpp"
@@ -27,8 +26,10 @@ std::string history_header_line() {
 
 } // namespace
 
-Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
-    state_ = hydro::allocate(problem_.mesh);
+Hydro::Hydro(setup::Problem problem)
+    : problem_(std::move(problem)), state_(hydro::allocate(problem_.mesh)),
+      stepper_(Clock{.dt_prev = problem_.hydro.dt_initial}, problem_.ale,
+               problem_.mesh.n_cells()) {
     state_.rho.assign(problem_.rho.begin(), problem_.rho.end());
     state_.ein.assign(problem_.ein.begin(), problem_.ein.end());
     state_.u.assign(problem_.u.begin(), problem_.u.end());
@@ -36,20 +37,15 @@ Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
     hydro::initialise(problem_.mesh, problem_.materials, state_);
 
     init_context();
-    dt_ = problem_.hydro.dt_initial;
     open_history_fresh();
 }
 
 Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
-    : problem_(std::move(problem)) {
-    state_ = hydro::allocate(problem_.mesh);
+    : problem_(std::move(problem)), state_(hydro::allocate(problem_.mesh)),
+      stepper_(Clock::of(snapshot), problem_.ale, problem_.mesh.n_cells()) {
     ckpt::restore(problem_.mesh, problem_.materials, snapshot, state_);
 
     init_context();
-    t_ = snapshot.t;
-    dt_ = snapshot.dt;
-    regrow_limit_ = snapshot.regrow;
-    steps_ = static_cast<int>(snapshot.steps);
     // (An at_time trigger the snapshot already passed cannot re-fire:
     // Config::due needs the step to cross it, and t only grows.)
     continue_history();
@@ -68,11 +64,8 @@ void Hydro::init_context() {
         // Attach the graph-run collector so every task-graph execution
         // exports its spans for attribution. Telemetry-off runs keep the
         // null default and the executor records nothing.
-        graph_log_.epoch = telemetry_epoch_;
-        ctx_.graph_log = &graph_log_;
-        telemetry_steps_ = obs::StepRing(telemetry_.max_steps);
-        if (telemetry_.live_active())
-            window_folder_.emplace(0, telemetry_.window_steps, &profiler_);
+        ctx_.graph_log =
+            stepper_.record(telemetry_, telemetry_epoch_, 0, &profiler_);
         if (!telemetry_.live.empty()) {
             live_stream_.emplace(telemetry_.live);
             obs::Json ev;
@@ -141,7 +134,7 @@ void Hydro::continue_history() {
                 dropped = true;
                 continue;
             }
-            if (step > static_cast<Real>(steps_) + Real(0.5)) {
+            if (step > static_cast<Real>(steps()) + Real(0.5)) {
                 dropped = true; // written past the checkpoint; discard
                 continue;
             }
@@ -158,10 +151,10 @@ void Hydro::continue_history() {
     std::istringstream last(kept.back());
     Real last_step = -1.0;
     last >> last_step;
-    util::require(last_step == static_cast<Real>(steps_),
+    util::require(last_step == static_cast<Real>(steps()),
                   "history restart: " + problem_.history + " ends at step " +
                       std::to_string(static_cast<long>(last_step)) +
-                      ", checkpoint is at step " + std::to_string(steps_) +
+                      ", checkpoint is at step " + std::to_string(steps()) +
                       " (stale or mismatched history file)");
     if (dropped) {
         std::ofstream rewrite(problem_.history, std::ios::trunc);
@@ -176,22 +169,22 @@ void Hydro::continue_history() {
 
 void Hydro::write_history_row(Real dt) {
     const auto tot = totals();
-    history_->row({static_cast<Real>(steps_), t_, dt, tot.mass,
+    history_->row({static_cast<Real>(steps()), time(), dt, tot.mass,
                    tot.internal_energy, tot.kinetic_energy});
 }
 
 /// Write a checkpoint if the deck cadence (ckpt::Config::due — the one
 /// trigger definition, shared with the distributed driver) says one is
-/// due after the step that advanced t_before -> t_. Checkpoints never
+/// due after the step that advanced t_before -> time(). Checkpoints never
 /// perturb the trajectory: they are written after completed natural
 /// steps only. The history CSV is flushed first so the on-disk rows are
 /// durable up to the checkpointed step — what the restore handshake
 /// requires of a file recovered from a crash.
 void Hydro::maybe_checkpoint(Real t_before) {
     const auto& cfg = problem_.checkpoint;
-    if (!cfg.enabled() || !cfg.due(steps_, t_before, t_)) return;
+    if (!cfg.enabled() || !cfg.due(steps(), t_before, time())) return;
     if (history_) history_->flush();
-    save(cfg.path_for(steps_));
+    save(cfg.path_for(steps()));
     if (cfg.halt_after) halt_requested_ = true;
 }
 
@@ -211,127 +204,37 @@ void Hydro::ensure_stepgraph() {
     ctx_.stepgraph = stepgraph_.get();
 }
 
-StepInfo Hydro::step() { return step_clamped(std::nullopt); }
+StepInfo Hydro::step() {
+    return stepper_.step(ctx_, state_, *this,
+                         std::numeric_limits<Real>::infinity());
+}
 
-StepInfo Hydro::step_clamped(std::optional<Real> t_end) {
-    const bool telemetry = telemetry_.active();
-    const auto step_t0 = telemetry ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
-    StepInfo info;
-    int retries = 0;
-    const auto& guard = ctx_.opts.guard;
-    // Algorithm 1: the very first step uses dt_initial.
-    if (steps_ > 0) {
-        const auto dt_result = hydro::getdt(ctx_, state_, dt_);
-        dt_ = dt_result.dt;
-        info.dt_cell = dt_result.cell;
-        info.dt_reason = dt_result.reason;
-        // Re-growth ceiling after a health-guard backoff: binds the
-        // controller until its own value ducks back under, then clears.
-        if (hydro::apply_regrow_ceiling(dt_, regrow_limit_,
-                                        guard.regrow_cap)) {
-            info.dt_cell = no_index;
-            info.dt_reason = "regrow";
-        }
-    } else {
-        info.dt_reason = "initial";
-    }
-    // The t_end clamp applies to the *used* dt only. `dt_` keeps the
-    // unclamped controller value as the growth reference: storing the
-    // clamped value would growth-limit a follow-on run(t2) after run(t1)
-    // from the arbitrarily tiny final clamped step.
-    const auto clamped = t_end ? hydro::clamp_to_t_end(t_, dt_, *t_end)
-                               : hydro::ClampedDt{dt_, dt_};
-    Real dt = clamped.used;
-    if (dt != clamped.unclamped) info.dt_reason = "t_end";
-
+void Hydro::lagstep(StepDt& dt) {
+    const Real used = dt.settle(dt.local());
     ensure_stepgraph();
-    if (guard.enabled) hydro::capture_step(state_, step_backup_);
-    hydro::lagstep(ctx_, state_, dt);
-    if (guard.enabled) {
-        // Health-guard retry: a step that produced non-finite or
-        // non-physical fields is rolled back and retaken with a smaller
-        // dt. The accepted dt becomes the growth reference and arms the
-        // re-growth ceiling, so the controller climbs back gradually.
-        while (!hydro::step_healthy(state_, state_.n_cells())) {
-            util::require(retries < guard.max_retries,
-                          "hydro: step " + std::to_string(steps_ + 1) +
-                              " rejected by health guards after " +
-                              std::to_string(retries) + " dt-backoff retries");
-            ++retries;
-            const Real dt_try = dt * guard.backoff;
-            util::require(dt_try >= ctx_.opts.dt_min,
-                          "hydro: health-guard backoff drove dt below dt_min "
-                          "at step " + std::to_string(steps_ + 1));
-            hydro::restore_step(ctx_, state_, step_backup_);
-            dt = dt_try;
-            hydro::lagstep(ctx_, state_, dt);
-        }
-        if (retries > 0) {
-            dt_ = dt;
-            regrow_limit_ = dt * guard.regrow_cap;
-            info.dt_cell = no_index;
-            info.dt_reason = "health-retry";
-        }
-    }
+    hydro::lagstep(ctx_, state_, used);
+}
 
-    if (ale::remap_due(problem_.ale, steps_)) {
-        ale::alestep(ctx_, state_, problem_.ale, ale_work_);
-        info.remapped = true;
-    }
+void Hydro::remap() { ale::alestep(ctx_, state_, problem_.ale, ale_work_); }
 
-    const Real t_before = t_;
-    t_ += dt;
-    ++steps_;
-    if (history_) write_history_row(dt);
-    maybe_checkpoint(t_before);
-    info.step = steps_;
-    info.t = t_;
-    info.dt = dt;
-    if (telemetry) {
-        // Recorded after the step committed: telemetry reads state, never
-        // feeds back into it (the passive contract).
-        obs::StepRecord rec;
-        rec.step = steps_ - 1;
-        rec.t = t_;
-        rec.dt = dt;
-        rec.dt_local = dt;
-        rec.dt_reason = obs::dt_reason_code(info.dt_reason);
-        rec.start_us = std::chrono::duration<double, std::micro>(
-                           step_t0 - telemetry_epoch_)
-                           .count();
-        rec.wall_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - step_t0)
-                          .count();
-        rec.retries = retries;
-        rec.remapped = info.remapped;
-        obs::attribute_step(graph_log_, rec, attrib_,
-                            telemetry_.want_trace() ? &critical_ : nullptr);
-        telemetry_steps_.push(rec);
-        if (window_folder_) {
-            if (auto w = window_folder_->add(rec)) {
-                telemetry_windows_.push_back(*w);
-                if (live_stream_) {
-                    obs::Json ev;
-                    ev["event"] = "window";
-                    ev["record"] = obs::window_json(*w);
-                    live_stream_->emit(std::move(ev));
-                    const auto imb = obs::window_imbalance({*w});
-                    obs::Json iev;
-                    iev["event"] = "imbalance";
-                    iev["window"] = static_cast<long long>(w->index);
-                    iev["max_over_mean"] = imb.max_over_mean;
-                    iev["mean_rank_s"] = imb.mean_rank_s;
-                    iev["max_rank_s"] = imb.max_rank_s;
-                    iev["slowest_rank"] = imb.slowest_rank;
-                    live_stream_->emit(std::move(iev));
-                }
-            }
-        }
+void Hydro::committed(const StepInfo& info, const obs::WindowRecord* window) {
+    if (history_) write_history_row(info.dt);
+    maybe_checkpoint(info.t_start);
+    if (window != nullptr && live_stream_) {
+        obs::Json ev;
+        ev["event"] = "window";
+        ev["record"] = obs::window_json(*window);
+        live_stream_->emit(std::move(ev));
+        const auto imb = obs::window_imbalance({*window});
+        obs::Json iev;
+        iev["event"] = "imbalance";
+        iev["window"] = static_cast<long long>(window->index);
+        iev["max_over_mean"] = imb.max_over_mean;
+        iev["mean_rank_s"] = imb.mean_rank_s;
+        iev["max_rank_s"] = imb.max_rank_s;
+        iev["slowest_rank"] = imb.slowest_rank;
+        live_stream_->emit(std::move(iev));
     }
-    util::log_debug("step ", steps_, " t=", t_, " dt=", dt, " (",
-                    info.dt_reason, ")");
-    return info;
 }
 
 obs::RunReport Hydro::telemetry_report() const {
@@ -340,8 +243,8 @@ obs::RunReport Hydro::telemetry_report() const {
     report.label = telemetry_.label.empty() ? problem_.name : telemetry_.label;
     report.mode = "serial";
     report.n_ranks = 1;
-    report.steps = steps_;
-    report.t_final = t_;
+    report.steps = steps();
+    report.t_final = time();
     report.wall_s = run_wall_s_;
     report.config.schedule =
         ctx_.exec.schedule == par::Schedule::taskgraph ? "taskgraph"
@@ -353,13 +256,9 @@ obs::RunReport Hydro::telemetry_report() const {
     report.work = perfmodel::telemetry_work_model(ctx_.exec.width());
     obs::RankRecord rank;
     rank.rank = 0;
-    rank.steps = telemetry_steps_.take();
-    rank.evicted = telemetry_steps_.evicted();
-    rank.windows = telemetry_windows_;
+    stepper_.fill(rank);
     rank.kernels = profiler_.snapshot();
-    rank.attrib = attrib_;
     rank.trace = trace_;
-    rank.critical = critical_;
     report.ranks.push_back(std::move(rank));
     report.imbalance = obs::imbalance_of(report.ranks);
     report.anomalies = obs::detect_anomalies(report, telemetry_.anomaly_factor);
@@ -377,11 +276,10 @@ RunSummary Hydro::run(std::optional<Real> t_end_opt, int max_steps) {
     summary.initial = totals();
     const util::Timer timer;
     halt_requested_ = false;
-    while (t_ < t_end * (Real(1.0) - eps) && steps_ < max_steps &&
-           !halt_requested_)
-        step_clamped(t_end);
-    summary.steps = steps_;
-    summary.t_final = t_;
+    while (stepper_.running(t_end, max_steps) && !halt_requested_)
+        stepper_.step(ctx_, state_, *this, t_end);
+    summary.steps = steps();
+    summary.t_final = time();
     summary.wall_seconds = timer.elapsed();
     summary.final_ = totals();
     if (telemetry_.active()) {
@@ -390,11 +288,10 @@ RunSummary Hydro::run(std::optional<Real> t_end_opt, int max_steps) {
         if (live_stream_) {
             obs::Json ev;
             ev["event"] = "run_end";
-            ev["steps"] = steps_;
-            ev["t_final"] = t_;
+            ev["steps"] = steps();
+            ev["t_final"] = time();
             ev["wall_s"] = run_wall_s_;
-            ev["windows"] =
-                static_cast<long long>(telemetry_windows_.size());
+            ev["windows"] = static_cast<long long>(windows().size());
             ev["stalls"] = 0;
             ev["recoveries"] = 0;
             live_stream_->emit(std::move(ev));

@@ -1,17 +1,17 @@
 #pragma once
 /// \file driver.hpp
-/// The BookLeaf driver — Algorithm 1 of the paper:
-///   loop { if after first step: dt = GETDT(dt); LAGSTEP(dt);
-///          if remap due: ALESTEP; }
-/// This is the single-process driver (the distributed variant lives in
+/// The single-process BookLeaf driver (the distributed variant lives in
 /// dist/). It owns the state, the kernel context, the ALE workspace and
-/// the per-run profiler.
+/// the per-run profiler, and steps Algorithm 1 through core::Stepper,
+/// supplying the plain hydro::lagstep, ale::alestep and the history /
+/// checkpoint writes that follow each committed step.
 
 #include <memory>
 #include <optional>
 
 #include "ale/remap.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "core/stepper.hpp"
 #include "hydro/kernels.hpp"
 #include "hydro/stepgraph.hpp"
 #include "io/csv.hpp"
@@ -22,16 +22,6 @@
 
 namespace bookleaf::core {
 
-/// Per-step record (what the reference code prints as its step banner).
-struct StepInfo {
-    int step = 0;
-    Real t = 0.0;
-    Real dt = 0.0;
-    Index dt_cell = no_index;
-    std::string_view dt_reason;
-    bool remapped = false;
-};
-
 /// Outcome of a full run.
 struct RunSummary {
     int steps = 0;
@@ -40,7 +30,7 @@ struct RunSummary {
     hydro::Totals initial, final_;
 };
 
-class Hydro {
+class Hydro final : private StepHooks {
 public:
     /// Takes ownership of the problem (mesh, materials, IC, options).
     explicit Hydro(setup::Problem problem);
@@ -77,8 +67,9 @@ public:
     /// unclamped dt growth reference and the health-guard re-growth
     /// ceiling).
     [[nodiscard]] ckpt::Snapshot snapshot() const {
-        return ckpt::capture(problem_.mesh, state_, t_, dt_, steps_,
-                             regrow_limit_);
+        const auto& c = stepper_.clock();
+        return ckpt::capture(problem_.mesh, state_, c.t, c.dt_prev, c.steps,
+                             c.regrow);
     }
     /// Write a checkpoint of the current state to `path`.
     void save(const std::string& path) const { ckpt::write(path, snapshot()); }
@@ -101,8 +92,8 @@ public:
     [[nodiscard]] const setup::Problem& problem() const { return problem_; }
     [[nodiscard]] const util::Profiler& profiler() const { return profiler_; }
     [[nodiscard]] util::Profiler& profiler() { return profiler_; }
-    [[nodiscard]] Real time() const { return t_; }
-    [[nodiscard]] int steps() const { return steps_; }
+    [[nodiscard]] Real time() const { return stepper_.clock().t; }
+    [[nodiscard]] int steps() const { return stepper_.clock().steps; }
     [[nodiscard]] hydro::Totals totals() const {
         return hydro::totals(problem_.mesh, state_);
     }
@@ -110,11 +101,17 @@ public:
     /// window_steps` > 0) — the serial counterpart of the distributed
     /// driver's live window stream.
     [[nodiscard]] const std::vector<obs::WindowRecord>& windows() const {
-        return telemetry_windows_;
+        return stepper_.windows();
     }
 
 private:
-    StepInfo step_clamped(std::optional<Real> t_end);
+    // StepHooks: what the single-process driver plugs into the stepper.
+    void lagstep(StepDt& dt) override;
+    Real reduce_min(Real value) override { return value; }
+    void remap() override;
+    void committed(const StepInfo& info,
+                   const obs::WindowRecord* window) override;
+
     void write_history_row(Real dt);
     void init_context();
     void ensure_stepgraph();
@@ -130,58 +127,27 @@ private:
     std::unique_ptr<hydro::StepGraph> stepgraph_;
     ale::Workspace ale_work_;
     util::Profiler profiler_;
+    /// The clock, the loop policy and the telemetry step records.
+    Stepper stepper_;
     /// Time-history CSV (deck `[io] history = <path>`): one row per step
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0
     /// baseline row. Null when disabled.
     std::unique_ptr<io::CsvWriter> history_;
-    Real t_ = 0.0;
-    /// Unclamped controller dt — the growth reference for the next
-    /// getdt. The t_end clamp applies only to the dt a step advances by
-    /// (step_clamped's local), never here: a follow-on run(t2) after
-    /// run(t1) must not be growth-limited by the tiny final clamped step.
-    Real dt_ = 0.0;
-    int steps_ = 0;
-    /// Health-guard re-growth ceiling on the controller dt (0 = inactive).
-    /// Armed after a dt-backoff retry at `accepted dt * guard.regrow_cap`
-    /// and raised by regrow_cap per step while it binds; cleared the
-    /// first step the controller's own value ducks under it. Keeps a
-    /// freshly stabilised dt from leaping straight back to the value
-    /// that failed. Evolves from collectively-agreed quantities only, so
-    /// the distributed driver replicates it bitwise on every rank.
-    Real regrow_limit_ = 0.0;
-    /// Loop-top state for the health-guard rollback (reused across steps).
-    hydro::StepBackup step_backup_;
     /// Set when a checkpoint was written and `halt_after` asks the run
     /// loop to stop there (the step itself still completed normally).
     bool halt_requested_ = false;
-    /// Telemetry (problem `[telemetry]`): per-step records + optional
-    /// trace spans, all collected AFTER a step's physics commits — the
-    /// passive contract. Empty/inactive by default, so telemetry-off
-    /// runs take none of these branches.
+    /// Telemetry (problem `[telemetry]`): the stepper records each step
+    /// after its physics commits — the passive contract. Inactive by
+    /// default, so telemetry-off runs take none of these branches.
     obs::Options telemetry_;
-    /// Step records, bounded by `[telemetry] max_steps` (0 = keep all);
-    /// evicted records fold into an exact aggregate, so the report's
-    /// totals are unaffected by the cap.
-    obs::StepRing telemetry_steps_;
-    /// Live monitoring (`[telemetry] window_steps` > 0): the folder closes
-    /// a window every window_steps committed steps; each window lands in
-    /// telemetry_windows_ and — when `[telemetry] live` names a file — as
-    /// a "window" (plus trivial single-rank "imbalance") event on the
-    /// NDJSON stream. No watchdog in the serial driver: there is no peer
-    /// to observe a hang from.
-    std::optional<obs::WindowFolder> window_folder_;
-    std::vector<obs::WindowRecord> telemetry_windows_;
+    /// Live monitoring (`[telemetry] live` names a file): each window the
+    /// stepper folds lands on the NDJSON stream as a "window" (plus a
+    /// trivial single-rank "imbalance") event. No watchdog in the serial
+    /// driver: there is no peer to observe a hang from.
     std::optional<obs::LiveStream> live_stream_;
     std::vector<util::TraceEvent> trace_;
     std::chrono::steady_clock::time_point telemetry_epoch_{};
     double run_wall_s_ = 0.0;
-    /// Task-graph attribution (telemetry active only): ctx_.graph_log
-    /// points at graph_log_, every step's graph runs are analyzed into
-    /// the step record + attrib_, and — when tracing — the critical-path
-    /// spans land in critical_ for the trace's flow arrows.
-    par::GraphRunLog graph_log_;
-    obs::RankAttribution attrib_;
-    std::vector<obs::CritSpan> critical_;
 };
 
 } // namespace bookleaf::core

@@ -46,14 +46,18 @@ struct Options {
     /// nullptr selects recursive coordinate bisection (part::rcb).
     Partitioner partitioner;
     int max_steps = std::numeric_limits<int>::max();
-    /// Overlap halo exchanges with interior kernels (the nonblocking
-    /// typhon path): both per-step exchanges are posted early and interior
-    /// cells/nodes compute while the messages are in flight, and the
-    /// global dt min-reduction is posted nonblocking alongside the
-    /// pre-step state halo (it is finished before the predictor consumes
-    /// dt). false selects the paper's blocking schedule as an ablation
-    /// baseline. Contract: the two schedules are bitwise identical at
-    /// every rank count — the ghost inputs are the same bytes and the
+    /// Overlap halo exchanges with interior work. The rank's step is one
+    /// function either way: it posts both per-step exchanges and the dt
+    /// min-reduction nonblocking (the reduce alongside the pre-step state
+    /// halo, finished before the predictor consumes dt), runs the cells
+    /// and nodes of its *early* split while the messages are in flight
+    /// and the *late* split after each finish. true makes the early split
+    /// the subdomain's interior — cells whose stencils see no
+    /// halo-refreshed data, nodes whose assembly reads no ghost corner;
+    /// false empties it, so each exchange finishes before the work that
+    /// follows it (the paper's blocking order, kept as an ablation
+    /// baseline). Contract: both settings are bitwise identical at every
+    /// rank count — the ghost inputs are the same bytes and the
     /// rank-ordered reduction gives the same dt, only the execution order
     /// of per-item-independent kernels changes.
     bool overlap = true;
@@ -170,7 +174,7 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// rebuilds the derived state, and steps from (snapshot.t,
 /// snapshot.steps) with the snapshot's unclamped dt growth reference.
 /// Contract: the gathered result at t_end is bitwise identical to the
-/// uninterrupted run at any rank count, under either overlap schedule.
+/// uninterrupted run at any rank count, with overlap on or off.
 /// Throws util::Error if the snapshot does not match the mesh.
 Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
            const ckpt::Snapshot& snapshot, const Options& opts);
@@ -180,7 +184,11 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// of every remap-due step. Exposed so the remap unit tests and the
 /// remap-halo bench can drive it directly inside a typhon::run.
 ///
-/// Exchange schedule (all blocking, all charged to Kernel::halo):
+/// Exchange schedule (all charged to Kernel::halo). Each exchange finishes
+/// before the phase that reads it — except that on the threaded taskgraph
+/// schedule the finish of exchange 3 is itself a graph node, so interior
+/// face fluxes and the cell/dual sweeps run while it is in flight and
+/// only the ghost-touching face blocks wait on it:
 ///   1. pre-remap state refresh — the same fused node{x,y,u,v}+cell{ein}
 ///      halo as the pre-step exchange, then the ghost dependent state is
 ///      rebuilt (the corrector left ghosts stale);

@@ -183,28 +183,22 @@ struct DtResult {
 /// dt_max clamp. Throws util::Error if dt falls below opts.dt_min.
 DtResult getdt(const Context& ctx, const State& s, Real dt_prev);
 
-/// The t_end clamp, applied to the dt a step advances by. `unclamped`
-/// keeps the controller's value: it — never the clamped `used` — must
-/// seed the next getdt's growth limit, or a follow-on run after a tiny
-/// clamped final step is growth-limited from near zero. The single
-/// definition shared by the serial driver and both distributed schedules
-/// so the clamp semantics cannot drift between them.
-struct ClampedDt {
-    Real used = 0.0;
-    Real unclamped = 0.0;
-};
-[[nodiscard]] inline ClampedDt clamp_to_t_end(Real t, Real dt, Real t_end) {
-    return {t + dt > t_end ? t_end - t : dt, dt};
+/// The t_end clamp: the dt a step at time t advances by. It applies to
+/// that dt only — the unclamped controller value must seed the next
+/// getdt's growth limit, or a follow-on run after a tiny clamped final
+/// step is growth-limited from near zero. Applied only by core::Stepper,
+/// the step loop both drivers share.
+[[nodiscard]] inline Real clamp_to_t_end(Real t, Real dt, Real t_end) {
+    return t + dt > t_end ? t_end - t : dt;
 }
 
 /// The health-guard re-growth ceiling, applied to the (globally reduced)
 /// controller dt after a dt-backoff retry armed `limit` (0 = inactive).
 /// While the controller exceeds the limit, dt is capped at it and the
 /// limit grows by `regrow_cap`; the first step the controller ducks
-/// under, the limit clears. Returns true when the ceiling bound dt. The
-/// single definition shared by the serial driver and both distributed
-/// schedules; every rank holds the same limit and reduced dt, so the cap
-/// commutes with the min-reduction and replicates bitwise.
+/// under, the limit clears. Returns true when the ceiling bound dt.
+/// Applied only by core::Stepper, to the globally reduced dt; every rank
+/// holds the same limit and reduced dt, so the cap replicates bitwise.
 inline bool apply_regrow_ceiling(Real& dt, Real& limit, Real regrow_cap) {
     if (!(limit > 0.0)) return false;
     if (dt > limit) {

@@ -27,11 +27,7 @@ void lagstep(const Context& ctx, State& s, Real dt) {
     // Snapshot the step-start state the predictor/corrector rewind to.
     {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::other);
-        s.x0 = s.x;
-        s.y0 = s.y;
-        s.u0 = s.u;
-        s.v0 = s.v;
-        s.ein0 = s.ein;
+        s.snapshot_step_start();
     }
 
     const Real half_dt = Real(0.5) * dt;

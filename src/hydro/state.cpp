@@ -90,11 +90,7 @@ void initialise(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
         s.node_mass[static_cast<std::size_t>(n)] = m;
     }
 
-    s.x0 = s.x;
-    s.y0 = s.y;
-    s.u0 = s.u;
-    s.v0 = s.v;
-    s.ein0 = s.ein;
+    s.snapshot_step_start();
 }
 
 Totals totals(const mesh::Mesh& mesh, const State& s) {

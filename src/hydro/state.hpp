@@ -61,6 +61,16 @@ struct State {
     Field ein0;         ///< energy at step start
     Field ubar, vbar;   ///< time-centred velocities (corrector)
 
+    /// Copy the step-start snapshot the predictor and corrector rewind to
+    /// (x0, y0, u0, v0, ein0).
+    void snapshot_step_start() {
+        x0 = x;
+        y0 = y;
+        u0 = u;
+        v0 = v;
+        ein0 = ein;
+    }
+
     [[nodiscard]] Index n_nodes() const { return static_cast<Index>(x.size()); }
     [[nodiscard]] Index n_cells() const { return static_cast<Index>(rho.size()); }
 

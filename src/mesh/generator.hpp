@@ -21,11 +21,11 @@ struct RectSpec {
 
     /// Material region for a cell given its (undistorted) centroid.
     /// Defaults to region 0 everywhere.
-    std::function<Index(Real, Real)> region_of;
+    std::function<Index(Real, Real)> region_of{};
 
     /// Node-coordinate mapping applied after lattice generation (mesh
     /// distortion, e.g. the Saltzmann skew). Defaults to identity.
-    std::function<std::pair<Real, Real>(Real, Real)> map;
+    std::function<std::pair<Real, Real>(Real, Real)> map{};
 
     /// If true (default), nodes on the rectangle boundary receive
     /// reflective-wall masks: fix_u on x-extremes, fix_v on y-extremes.
